@@ -34,8 +34,18 @@ class GaussianPrior:
         x = np.asarray(x, dtype=np.float64)
         if sigma == 0:
             return x.copy()
+        return self.denoise_with_tweedie(x, sigma)[0]
+
+    def denoise_with_tweedie(self, x: np.ndarray,
+                             sigma: float) -> tuple[np.ndarray, np.ndarray | float]:
+        """Posterior mean and Tweedie factor d denoise/dx = Var[x0 | x] / sigma^2.
+
+        The factor is the gain C / (C + sigma^2), shaped like the variance
+        parameter (a scalar when the variance is one).
+        """
+        x = np.asarray(x, dtype=np.float64)
         gain = self.variance / (self.variance + sigma**2)
-        return self.mean + gain * (x - self.mean)
+        return self.mean + gain * (x - self.mean), gain
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:
         """log of the sigma-smoothed prior density at x (sum over pixels)."""
@@ -85,15 +95,46 @@ class GmmPrior:
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Responsibility-weighted mixture of per-component posterior means."""
+        return self.denoise_with_tweedie(x, sigma)[0]
+
+    def denoise_with_tweedie(self, x: np.ndarray,
+                             sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and Tweedie factor Var[x0 | x] / sigma^2, in one pass.
+
+        Component k's log-weight log w_k N(x; mu_k, c_k + sigma^2) is
+        quadratic in x, so one (K, 3) @ (3, N) product gives all of them.  Its
+        posterior mean m_k = (1 - g_k) mu_k + g_k x, g_k = c_k / (c_k + sigma^2),
+        is linear in x, so after the max-subtract and exp one (6, K) @ (K, N)
+        product of the responsibilities r_k gives every sum that
+
+            E[x0 | x] = sum_k r_k m_k / sum_k r_k
+            Var[x0 | x] = sigma^2 sum_k r_k g_k / sum_k r_k
+                          + sum_k r_k m_k^2 / sum_k r_k - E[x0 | x]^2
+
+        needs.  No (..., K) array other than the responsibilities is built.
+        """
         if sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
         x = np.asarray(x, dtype=np.float64)
-        log_r, _ = self._log_resp(x, sigma)
-        r = np.exp(log_r)
-        r /= r.sum(axis=-1, keepdims=True)
-        gain = self.variances / (self.variances + sigma**2)
-        per_component = self.means + gain * (x[..., None] - self.means)
-        return np.sum(r * per_component, axis=-1)
+        var = self.variances + sigma**2
+        gain = self.variances / var
+        offset = (1.0 - gain) * self.means
+        log_weight = np.stack([
+            np.log(self.weights) - 0.5 * (np.log(var) + self.means**2 / var),
+            self.means / var,
+            -0.5 / var,
+        ], axis=1)
+        flat = x.reshape(-1)
+        r = log_weight @ np.stack([np.ones_like(flat), flat, flat * flat])
+        r -= r.max(axis=0)
+        np.exp(r, out=r)
+        moments = np.stack([np.ones_like(gain), offset, gain,
+                            offset**2, 2.0 * offset * gain, gain**2])
+        total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = moments @ r
+        mean = (s_offset + flat * s_gain) / total
+        spread = (s_sq + flat * (s_cross + flat * s_gain_sq)) / total - mean**2
+        factor = s_gain / total + np.maximum(spread, 0.0) / sigma**2
+        return mean.reshape(x.shape), factor.reshape(x.shape)
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:
         x = np.asarray(x, dtype=np.float64)

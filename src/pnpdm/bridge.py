@@ -12,7 +12,8 @@ Wire format, little-endian throughout:
 * error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
 
 Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]).
-A bridge instance is exclusive: strictly one request in flight.
+A bridge instance is exclusive: strictly one request in flight.  Threads that
+share one instance take turns; each call holds a lock for its round trip.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 import select
 import struct
 import subprocess
+import threading
 import time
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
@@ -144,11 +146,12 @@ class BridgeDenoiser:
     def __init__(self, config: BridgeConfig):
         self.config = config
         self._proc: subprocess.Popen | None = None
-        self._buffer = b""
+        self._buffer = bytearray()
+        self._lock = threading.Lock()
         self._start()
 
     def _start(self):
-        self._buffer = b""
+        self._buffer = bytearray()
         self._proc = subprocess.Popen(
             list(self.config.command),
             stdin=subprocess.PIPE,
@@ -157,13 +160,14 @@ class BridgeDenoiser:
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = as_image(x)
-        self._ensure_alive()
-        try:
-            self._proc.stdin.write(encode_request(x, sigma))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
-        frame = self._read_response()
+        with self._lock:
+            self._ensure_alive()
+            try:
+                self._proc.stdin.write(encode_request(x, sigma))
+                self._proc.stdin.flush()
+            except (BrokenPipeError, OSError) as exc:
+                raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
+            frame = self._read_response()
         if frame[0] == FRAME_ERROR:
             raise BridgeRemoteError(frame[1])
         response = frame[1]
@@ -231,7 +235,7 @@ class BridgeDenoiser:
             pixels = np.frombuffer(
                 buf, dtype="<f4", count=h * w, offset=_PREFIX.size + _DIMS.size
             ).astype(np.float64).reshape(h, w)
-            self._buffer = buf[total:]
+            del buf[:total]
             return FRAME_RESPONSE, pixels
         if frame_type == FRAME_ERROR:
             if len(buf) < _PREFIX.size + 4:
@@ -243,7 +247,7 @@ class BridgeDenoiser:
             if len(buf) < total:
                 return None
             message = buf[_PREFIX.size + 4 : total].decode("utf-8", "replace")
-            self._buffer = buf[total:]
+            del buf[:total]
             return FRAME_ERROR, message
         raise BridgeFrameError(f"unexpected frame type {frame_type} from server")
 

@@ -39,7 +39,7 @@ from pnpdm.metrics import psnr, ssim
 from pnpdm.operators import block_average_downsample, identity_operator
 from pnpdm.phantom import Layer, PhantomSpec, degrade, generate_phantom
 from pnpdm.prior_step import SdeConfig
-from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, run_chain
+from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, run_chain, sample_mean
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -274,21 +274,19 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
             cfg_i = RunConfig(iterations=run_cfg.iterations, burn_in=run_cfg.burn_in,
                               collect_every=run_cfg.collect_every,
                               seed=run_cfg.seed + index)
-            callback = log_iteration if index == 0 else None
+            callback = log_iteration if index == 0 and log_path is not None else None
             return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)
 
         if chains == 1 or threads <= 1:
             results = [one_chain(i) for i in range(chains)]
         else:
-            # bridge denoisers are exclusive (one request in flight); chains
-            # share one bridge here, so only analytic priors truly parallelize
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(one_chain, range(chains)))
     finally:
         close()
 
     all_samples = [s for samples, _ in results for s in samples]
-    mean = np.clip(np.mean(all_samples, axis=0), 0.0, 1.0)
+    mean = sample_mean(all_samples)
     output_path.parent.mkdir(parents=True, exist_ok=True)
     write_image(output_path, mean)
     if samples_dir is not None:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from pnpdm.images import as_image
 
@@ -32,16 +31,24 @@ def psnr(ref, test) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _gaussian_window() -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
+    """1-D taps whose outer product is the normalized 2-D SSIM window."""
     half = SSIM_WINDOW // 2
     g = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * SSIM_SIGMA**2))
-    w = np.outer(g, g)
-    return w / w.sum()
+    return g / g.sum()
 
 
-def _windowed(img: np.ndarray, window: np.ndarray) -> np.ndarray:
-    views = sliding_window_view(img, window.shape)
-    return np.tensordot(views, window, axes=([2, 3], [0, 1]))
+def _windowed(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """'Valid' correlation with outer(taps, taps): along columns, then rows."""
+    k = taps.size
+    h, w = img.shape[0] - k + 1, img.shape[1] - k + 1
+    cols = taps[0] * img[:h]
+    for i in range(1, k):
+        cols += taps[i] * img[i : i + h]
+    out = taps[0] * cols[:, :w]
+    for j in range(1, k):
+        out += taps[j] * cols[:, j : j + w]
+    return out
 
 
 def ssim(ref, test) -> float:
@@ -52,7 +59,7 @@ def ssim(ref, test) -> float:
     ref, test = _check_pair(ref, test)
     if min(ref.shape) < SSIM_WINDOW:
         raise ValueError(f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    w = _gaussian_window()
+    w = _gaussian_taps()
     mu1 = _windowed(ref, w)
     mu2 = _windowed(test, w)
     var1 = _windowed(ref * ref, w) - mu1**2

@@ -21,10 +21,15 @@ The injected noise carries the exact reverse-transition variance
     sigma'^2 (1 - r) + (1 - r)^2 sigma^2 J,   r = sigma'^2/sigma^2
 
 where J is the per-pixel Tweedie factor d denoise/dx (the conditional
-variance of the clean pixel is sigma^2 J), estimated by one finite-difference
-probe call per step.  For Gaussian priors this transition is exact, so the
-step count controls cost rather than bias; a plain first-order noise term
-would need far finer grids to meet the statistical tolerances.
+variance of the clean pixel is sigma^2 J).  A denoiser that is a bound method
+of an object offering ``denoise_with_tweedie(x, sigma) -> (estimate, J)``, as
+the analytic priors do, supplies J exactly with its estimate, in one call per
+step; between the modes of a mixture J exceeds 1.  Any other denoiser is a
+black box: J is estimated by one finite-difference probe call per step,
+(denoise(x + eps) - denoise(x)) / eps, clipped to [0, 1].  For Gaussian
+priors this transition is exact, so the step count controls cost rather than
+bias; a plain first-order noise term would need far finer grids to meet the
+statistical tolerances.
 
 The last grid transition is a deterministic denoiser evaluation (posterior
 mean jump to sigma = 0), which avoids injecting noise where the
@@ -93,16 +98,23 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
     """Integrate the reverse SDE from noise level rho, starting at z."""
     z = np.asarray(z, dtype=np.float64)
     grid = sigma_grid(rho, cfg)
+    owner = getattr(denoise, "__self__", None)
+    exact = getattr(owner, "denoise_with_tweedie", None) if cfg.stochastic else None
     x = z.copy()
     for sigma, sigma_next in zip(grid[:-1], grid[1:]):
         sigma = float(sigma)
-        estimate = np.clip(denoise(x, sigma), _CLAMP_LO, _CLAMP_HI)
+        if exact is not None:
+            estimate, tweedie = exact(x, sigma)
+            estimate = np.clip(estimate, _CLAMP_LO, _CLAMP_HI)
+        else:
+            estimate = np.clip(denoise(x, sigma), _CLAMP_LO, _CLAMP_HI)
         if estimate.shape != x.shape:
             raise ValueError(f"denoiser changed shape {x.shape} -> {estimate.shape}")
         shrink = 1.0 - sigma_next**2 / sigma**2
         if cfg.stochastic:
-            probe = np.clip(denoise(x + _PROBE_EPS, sigma), _CLAMP_LO, _CLAMP_HI)
-            tweedie = np.clip((probe - estimate) / _PROBE_EPS, 0.0, 1.0)
+            if exact is None:
+                probe = np.clip(denoise(x + _PROBE_EPS, sigma), _CLAMP_LO, _CLAMP_HI)
+                tweedie = np.clip((probe - estimate) / _PROBE_EPS, 0.0, 1.0)
             noise_var = sigma_next**2 * shrink + shrink**2 * sigma**2 * tweedie
             x += shrink * (estimate - x)
             x += np.sqrt(noise_var) * rng.standard_normal(x.shape)

@@ -130,5 +130,17 @@ def run_chain(model: LikelihoodModel, denoise: Denoiser,
             callback(q, rho_at(schedule, q), state.x)
         if q >= cfg.burn_in and (q - cfg.burn_in) % cfg.collect_every == 0:
             samples.append(state.x.copy())
-    mean = np.clip(np.mean(samples, axis=0), 0.0, 1.0)
-    return samples, mean
+    return samples, sample_mean(samples)
+
+
+def sample_mean(samples: list[np.ndarray]) -> np.ndarray:
+    """Pixel mean of the samples, clamped to [0, 1].
+
+    Sums in list order into one accumulator and divides once, which gives the
+    same bits as ``np.mean(samples, axis=0)`` without stacking the samples.
+    """
+    total = samples[0].copy()
+    for sample in samples[1:]:
+        total += sample
+    total /= len(samples)
+    return np.clip(total, 0.0, 1.0, out=total)

@@ -37,8 +37,8 @@ def test_gaussian_validation():
         GaussianPrior(mean=0.0, variance=0.0)
 
 
-def _quadrature_denoise(prior: GmmPrior, y: float, sigma: float) -> float:
-    """Direct 1-D quadrature of E[x0 | x0 + sigma eps = y]."""
+def _quadrature_posterior(prior: GmmPrior, y: float, sigma: float) -> tuple[float, float]:
+    """Direct 1-D quadrature of E[x0 | x0 + sigma eps = y] and Var[x0 | ...]."""
     lo = min(prior.means.min(), y) - 8 * (np.sqrt(prior.variances.max()) + sigma)
     hi = max(prior.means.max(), y) + 8 * (np.sqrt(prior.variances.max()) + sigma)
     t = np.linspace(lo, hi, 40001)
@@ -50,7 +50,9 @@ def _quadrature_denoise(prior: GmmPrior, y: float, sigma: float) -> float:
     )
     like = np.exp(-0.5 * (y - t) ** 2 / sigma**2)
     post = prior_pdf * like
-    return float(np.trapezoid(t * post, t) / np.trapezoid(post, t))
+    mass = np.trapezoid(post, t)
+    mean = np.trapezoid(t * post, t) / mass
+    return float(mean), float(np.trapezoid((t - mean) ** 2 * post, t) / mass)
 
 
 def test_gmm_denoise_matches_quadrature():
@@ -60,8 +62,10 @@ def test_gmm_denoise_matches_quadrature():
         variances=np.array([0.002, 0.01, 0.005]),
     )
     for y, sigma in [(0.1, 0.2), (0.5, 0.05), (0.7, 0.35), (-0.2, 0.1)]:
-        out = prior.denoise(np.array([[y]]), sigma)[0, 0]
-        assert abs(out - _quadrature_denoise(prior, y, sigma)) < 1e-6
+        mean, var = _quadrature_posterior(prior, y, sigma)
+        assert abs(prior.denoise(np.array([[y]]), sigma)[0, 0] - mean) < 1e-6
+        _, factor = prior.denoise_with_tweedie(np.array([[y]]), sigma)
+        assert abs(factor[0, 0] - var / sigma**2) < 1e-6
 
 
 def test_gmm_single_component_reduces_to_gaussian():
@@ -99,6 +103,30 @@ def test_tweedie_identity(prior):
             - prior.log_density_smoothed(x - eps, sigma)) / (2 * eps)
     expected = x[0, 0] + sigma**2 * grad
     assert abs(prior.denoise(x, sigma)[0, 0] - expected) < 1e-7
+
+
+def _random_prior(rng: np.random.Generator):
+    if rng.random() < 0.5:
+        return GaussianPrior(mean=rng.uniform(-0.2, 1.2, size=(3, 4)),
+                             variance=rng.uniform(0.001, 0.3, size=(3, 4)))
+    k = int(rng.integers(1, 6))
+    return GmmPrior(weights=rng.uniform(0.1, 1.0, size=k),
+                    means=rng.uniform(-0.2, 1.2, size=k),
+                    variances=rng.uniform(0.001, 0.1, size=k))
+
+
+def test_denoise_with_tweedie_matches_denoise_and_its_derivative():
+    """The estimate is denoise's; the factor is d denoise/dx (central difference)."""
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for _ in range(60):
+        prior = _random_prior(rng)
+        sigma = float(rng.uniform(0.02, 1.0))
+        x = rng.uniform(-0.5, 1.5, size=(3, 4))
+        estimate, factor = prior.denoise_with_tweedie(x, sigma)
+        assert np.array_equal(estimate, prior.denoise(x, sigma))
+        slope = (prior.denoise(x + h, sigma) - prior.denoise(x - h, sigma)) / (2 * h)
+        assert np.max(np.abs(factor - slope)) < 1e-6
 
 
 def test_gmm_log_density_matches_direct_logsumexp():

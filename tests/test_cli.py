@@ -1,8 +1,15 @@
 """End-to-end CLI behavior: exit codes, artifacts, logs."""
 
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pnpdm.cli
 from pnpdm.cli import EXIT_BRIDGE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pnpdm.images import read_image, write_image
 from pnpdm.sgs import AnnealSchedule, rho_at
@@ -76,10 +83,11 @@ def test_no_arguments_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
 
 
-def _reconstruct_config(tmp_path, prior_lines, run_lines=""):
+def _reconstruct_config(tmp_path, prior_lines, run_lines="", size=16, log=True):
     rng = np.random.default_rng(0)
-    hr = np.where(np.arange(16)[:, None] < 8, 0.2, 0.7) + 0.0 * np.arange(16)
-    lr = hr.reshape(8, 2, 8, 2).mean(axis=(1, 3))
+    half = size // 2
+    hr = np.where(np.arange(size)[:, None] < half, 0.2, 0.7) + 0.0 * np.arange(size)
+    lr = hr.reshape(half, 2, half, 2).mean(axis=(1, 3))
     lr = lr + 0.05 * rng.standard_normal(lr.shape)
     write_image(tmp_path / "lr.pnpi", lr)
     cfg = tmp_path / "rec.cfg"
@@ -109,7 +117,7 @@ seed = 1
 [io]
 input = {tmp_path / 'lr.pnpi'}
 output = {tmp_path / 'rec.pnpi'}
-log = {tmp_path / 'rec.log'}
+{f"log = {tmp_path / 'rec.log'}" if log else ""}
 """,
         encoding="utf-8",
     )
@@ -151,6 +159,49 @@ def test_reconstruct_gmm_and_multi_chain(tmp_path):
     )
     assert main(["--threads", "2", "reconstruct", str(cfg)]) == EXIT_OK
     assert read_image(tmp_path / "rec.pnpi").shape == (16, 16)
+
+
+def test_reconstruct_bridge_multi_chain_threads(tmp_path):
+    """Two chains sharing one bridge under --threads 2 finish, and write the
+    same bytes as the serial run (run in a subprocess so a hang fails)."""
+    helper = shlex.join([sys.executable, "-m", "pnpdm.bridge_helper", "--prior",
+                         "gaussian", "--mean", "0.45", "--variance", "0.09"])
+    cfg = _reconstruct_config(tmp_path, f"kind = bridge\ncommand = {helper}",
+                              run_lines="chains = 2", size=32)
+    src = str(Path(pnpdm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "pnpdm.cli", "--threads", threads,
+                        "reconstruct", str(cfg)], env=env, timeout=60, check=True,
+                       capture_output=True)
+        outputs.append((tmp_path / "rec.pnpi").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_reconstruct_log_only_when_requested(tmp_path, monkeypatch):
+    """Data fidelity is computed for the log alone: once per iteration of
+    chain 0 when io.log is set, never when it is not."""
+    calls = []
+
+    def counting_fidelity(model, x):
+        calls.append(x.shape)
+        return 0.5
+
+    monkeypatch.setattr(pnpdm.cli, "data_fidelity", counting_fidelity)
+    prior = "kind = gmm\nmeans = 0.2,0.7\nweights = 1,1\nvariances = 0.002,0.002"
+    cfg = _reconstruct_config(tmp_path, prior, run_lines="chains = 2")
+    assert main(["--threads", "2", "reconstruct", str(cfg)]) == EXIT_OK
+    lines = (tmp_path / "rec.log").read_text(encoding="utf-8").strip().splitlines()
+    assert len(lines) == 11 and len(calls) == 10
+    assert [int(line.split("\t")[0]) for line in lines[1:]] == list(range(10))
+
+    calls.clear()
+    (tmp_path / "rec.log").unlink()
+    cfg = _reconstruct_config(tmp_path, prior, run_lines="chains = 2", log=False)
+    assert main(["--threads", "2", "reconstruct", str(cfg)]) == EXIT_OK
+    assert calls == [] and not (tmp_path / "rec.log").exists()
 
 
 def test_reconstruct_paper_strict_runs_fixed_length(tmp_path):

@@ -48,13 +48,14 @@ def _reference_ssim(ref, test):
 
 def test_ssim_identity_symmetry_and_reference():
     rng = np.random.default_rng(1)
-    ref = rng.random((18, 15))
-    test = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0, 1)
-    assert abs(ssim(ref, ref) - 1.0) < 1e-12
-    s = ssim(ref, test)
-    assert s < 1.0
-    assert abs(s - ssim(test, ref)) < 1e-12
-    assert abs(s - _reference_ssim(ref, test)) < 1e-6
+    for shape in [(18, 15), (64, 48)]:
+        ref = rng.random(shape)
+        test = np.clip(ref + 0.1 * rng.standard_normal(ref.shape), 0, 1)
+        assert abs(ssim(ref, ref) - 1.0) < 1e-12
+        s = ssim(ref, test)
+        assert s < 1.0
+        assert abs(s - ssim(test, ref)) < 1e-12
+        assert abs(s - _reference_ssim(ref, test)) < 1e-6
 
 
 def test_ssim_rejects_small_images():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from pnpdm.analytic import GaussianPrior
+from pnpdm.analytic import GaussianPrior, GmmPrior
 from pnpdm.prior_step import SdeConfig, prior_refine, sigma_grid
+from test_analytic import _quadrature_posterior
 
 
 def test_sde_config_validation():
@@ -59,6 +60,22 @@ def test_refine_gaussian_conjugate_moments():
     assert abs(x.var() / target_var - 1.0) < 0.08
 
 
+def test_refine_gmm_matches_quadrature_posterior():
+    """Between the modes of a mixture the exact Tweedie factor exceeds 1; the
+    refinement then draws x | z with the quadrature posterior's moments (mean
+    within 4 standard errors, variance within 4 %).  Clipping the factor to 1
+    leaves the variance 8 % short."""
+    prior = GmmPrior(weights=np.array([0.6, 0.4]), means=np.array([0.2, 0.6]),
+                     variances=np.array([0.002, 0.003]))
+    z_val, rho = 0.4, 0.1
+    assert prior.denoise_with_tweedie(np.array([z_val]), rho)[1][0] > 1.0
+    mean, var = _quadrature_posterior(prior, z_val, rho)
+    x = prior_refine(np.full((256, 256), z_val), rho, prior.denoise,
+                     SdeConfig(num_steps=20, sigma_floor=0.002), np.random.default_rng(0))
+    assert abs(x.mean() - mean) < 4 * np.sqrt(var / x.size)
+    assert abs(x.var() / var - 1.0) < 0.04
+
+
 def test_refine_deterministic_variant_is_reproducible_and_noiseless():
     prior = GaussianPrior(mean=0.5, variance=0.04)
     cfg = SdeConfig(num_steps=15, sigma_floor=0.01, stochastic=False)
@@ -100,3 +117,33 @@ def test_refine_clamps_runaway_denoiser():
                        SdeConfig(num_steps=5, stochastic=False),
                        np.random.default_rng(0))
     assert np.max(out) <= 1.5
+
+
+class _CountingPrior:
+    """Gaussian prior whose denoiser entry points count their calls."""
+
+    def __init__(self):
+        self.prior = GaussianPrior(mean=0.5, variance=0.04)
+        self.calls = 0
+
+    def denoise(self, x, sigma):
+        self.calls += 1
+        return self.prior.denoise(x, sigma)
+
+    def denoise_with_tweedie(self, x, sigma):
+        self.calls += 1
+        return self.prior.denoise_with_tweedie(x, sigma)
+
+
+def test_refine_denoiser_calls_per_step():
+    """K + 1 calls when the denoiser's owner offers the exact Tweedie factor;
+    2K + 1 for a plain callable, which needs a probe call per step."""
+    cfg = SdeConfig(num_steps=7, sigma_floor=0.02)
+    z = np.full((4, 4), 0.3)
+    owner = _CountingPrior()
+    prior_refine(z, 0.6, owner.denoise, cfg, np.random.default_rng(0))
+    assert owner.calls == cfg.num_steps + 1
+    owner = _CountingPrior()
+    prior_refine(z, 0.6, lambda x, sigma: owner.denoise(x, sigma), cfg,
+                 np.random.default_rng(0))
+    assert owner.calls == 2 * cfg.num_steps + 1
