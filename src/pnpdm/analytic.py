@@ -8,11 +8,10 @@ checked against closed-form answers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from pnpdm.images import as_image
 from pnpdm.likelihood import LikelihoodModel
 
 _LOG_2PI = np.log(2.0 * np.pi)

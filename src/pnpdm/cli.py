@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import shlex
 import sys
@@ -36,9 +35,9 @@ from pnpdm.config import (
 from pnpdm.images import read_image, write_image
 from pnpdm.likelihood import LikelihoodModel, data_fidelity
 from pnpdm.metrics import psnr, ssim
-from pnpdm.operators import block_average_downsample, identity_operator
+from pnpdm.operators import block_average_downsample
 from pnpdm.phantom import Layer, PhantomSpec, degrade, generate_phantom
-from pnpdm.prior_step import SdeConfig
+from pnpdm.prior_step import SdeConfig, sigma_grid
 from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, run_chain, sample_mean
 
 EXIT_OK = 0
@@ -77,6 +76,15 @@ def _default_layers(height: int, width: int) -> tuple[Layer, ...]:
     )
 
 
+def _build(section: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), reporting a ValueError it raises on a bad
+    [section] value as a ConfigError, so the run exits with EXIT_USAGE."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _phantom_spec(sections, seed_override=None) -> PhantomSpec:
     section = sections.get("phantom", {})
     height = parse_number(section.get("height", "256"), "phantom.height", int)
@@ -96,7 +104,8 @@ def _phantom_spec(sections, seed_override=None) -> PhantomSpec:
         layers.append(Layer(depth=(values[0], values[1], values[2]), brightness=values[3]))
     if not layer_keys:
         layers = list(_default_layers(height, width))
-    return PhantomSpec(
+    return _build(
+        "phantom", PhantomSpec,
         height=height,
         width=width,
         layers=tuple(layers),
@@ -118,10 +127,10 @@ def cmd_simulate(config_path: str, seed_override=None) -> int:
     noise_seed = parse_number(get_value(sections, "measurement", "seed", str(spec.seed + 1)),
                               "measurement.seed", int)
     out_dir = Path(get_value(sections, "io", "output_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     clean, speckled = generate_phantom(spec)
-    lr = degrade(speckled, factor, sigma_y, noise_seed)
+    lr = _build("measurement", degrade, speckled, factor, sigma_y, noise_seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     paths = {
         "clean": out_dir / "clean.pnpi",
@@ -169,11 +178,8 @@ def _build_denoiser(sections):
             section.get("variances", ",".join(["0.0009"] * len(means))),
             "prior.variances",
         )
-        try:
-            prior = GmmPrior(weights=np.array(weights), means=np.array(means),
-                             variances=np.array(variances))
-        except ValueError as exc:
-            raise ConfigError(f"prior: {exc}") from exc
+        prior = _build("prior", GmmPrior, weights=np.array(weights), means=np.array(means),
+                       variances=np.array(variances))
         return prior.denoise, lambda: None
     if kind.startswith("bridge:") or kind == "bridge":
         command = kind[len("bridge:"):] if kind.startswith("bridge:") \
@@ -208,23 +214,21 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
                           "measurement.factor", int)
     sigma_y = parse_number(get_value(sections, "measurement", "sigma_y", "0.03"),
                            "measurement.sigma_y")
-    if factor == 1:
-        operator = identity_operator(*measurement.shape)
-    else:
-        operator = block_average_downsample(
-            factor, measurement.shape[0] * factor, measurement.shape[1] * factor
-        )
-    model = LikelihoodModel(operator=operator, noise_sigma=sigma_y,
-                            measurement=measurement)
+    operator = _build("measurement", block_average_downsample,
+                      factor, measurement.shape[0] * factor, measurement.shape[1] * factor)
+    model = _build("measurement", LikelihoodModel, operator=operator, noise_sigma=sigma_y,
+                   measurement=measurement)
 
-    schedule = AnnealSchedule(
+    schedule = _build(
+        "schedule", AnnealSchedule,
         rho0=parse_number(get_value(sections, "schedule", "rho0", "10"), "schedule.rho0"),
         rho_min=parse_number(get_value(sections, "schedule", "rho_min", "0.3"),
                              "schedule.rho_min"),
         alpha=parse_number(get_value(sections, "schedule", "alpha", "0.9"),
                            "schedule.alpha"),
     )
-    sde = SdeConfig(
+    sde = _build(
+        "sde", SdeConfig,
         num_steps=parse_number(get_value(sections, "sde", "steps", "20"), "sde.steps", int),
         curvature=parse_number(get_value(sections, "sde", "curvature", "7"),
                                "sde.curvature"),
@@ -233,6 +237,9 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
         stochastic=parse_bool(get_value(sections, "sde", "stochastic", "true"),
                               "sde.stochastic"),
     )
+    # every prior step's grid starts at a rho >= rho_min: reject
+    # sigma_floor >= rho_min before any chain starts
+    _build("sde", sigma_grid, schedule.rho_min, sde)
 
     run_section = sections.get("run", {})
     seed = parse_number(run_section.get("seed", "0"), "run.seed", int)
@@ -249,17 +256,16 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
     chains = parse_number(run_section.get("chains", "1"), "run.chains", int)
     if chains < 1:
         raise ConfigError(f"run.chains must be >= 1, got {chains}")
-    try:
-        run_cfg = RunConfig(
-            iterations=iterations,
-            burn_in=burn_in,
-            collect_every=parse_number(run_section.get("collect_every", "1"),
-                                       "run.collect_every", int),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from exc
-    init_mode = run_section.get("init", "adjoint-upsample")
+    run_cfg = _build(
+        "run", RunConfig,
+        iterations=iterations,
+        burn_in=burn_in,
+        collect_every=parse_number(run_section.get("collect_every", "1"),
+                                   "run.collect_every", int),
+        seed=seed,
+    )
+    x_init = _build("run", initialize, model, run_section.get("init", "adjoint-upsample"),
+                    np.random.default_rng(seed))
 
     denoise, close = _build_denoiser(sections)
     log_lines: list[str] = []
@@ -267,16 +273,14 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
     def log_iteration(q, rho, x):
         log_lines.append(f"{q}\t{rho:.10g}\t{data_fidelity(model, x):.10g}")
 
+    def one_chain(index: int):
+        cfg_i = RunConfig(iterations=run_cfg.iterations, burn_in=run_cfg.burn_in,
+                          collect_every=run_cfg.collect_every,
+                          seed=run_cfg.seed + index)
+        callback = log_iteration if index == 0 and log_path is not None else None
+        return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)
+
     try:
-        x_init = initialize(model, init_mode, np.random.default_rng(seed))
-
-        def one_chain(index: int):
-            cfg_i = RunConfig(iterations=run_cfg.iterations, burn_in=run_cfg.burn_in,
-                              collect_every=run_cfg.collect_every,
-                              seed=run_cfg.seed + index)
-            callback = log_iteration if index == 0 and log_path is not None else None
-            return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)
-
         if chains == 1 or threads <= 1:
             results = [one_chain(i) for i in range(chains)]
         else:

@@ -1,8 +1,8 @@
 """Image container helpers and bit-exact file IO.
 
 In memory an image is a 2-D float64 ``numpy.ndarray`` (rows, cols); 64-bit
-precision is kept regardless of the file precision because downstream solves
-invert near-singular precision matrices.
+precision is kept regardless of the file precision: the sampler accumulates
+many small updates per pixel, and tests compare it to dense oracles at 1e-10.
 
 Two on-disk formats are supported:
 

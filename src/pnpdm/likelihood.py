@@ -1,17 +1,20 @@
 """Exact sampling of the Gaussian data-consistency conditional.
 
 Coupling the iterate x to a latent z through a quadratic penalty of width rho
-turns the Gaussian measurement model into a Gaussian conditional whose
-precision is diagonal in the operator's right-singular basis:
+gives z | x the precision A^T A / sigma_y^2 + I / rho^2.  The operators have
+A A^T = s^2 I, so with c = 1 / (1 / rho^2 + s^2 / sigma_y^2) the covariance is
+c on the measured directions (the range of A^T) and rho^2 on the null space.
+One image-space formula draws z exactly from a standard normal image eps,
 
-    precision_i = s_i^2 / sigma_y^2 + 1 / rho^2   (measured directions)
-    precision_i = 1 / rho^2                        (null-space directions)
+    z = x + rho eps + A^T [A((c/rho^2 - 1) x + (sqrt(c) - rho) eps) / s^2
+                           + c y / sigma_y^2],
 
-so both the conditional mean and exact samples cost O(n).
+and gives the mean with eps = 0.  Both cost O(n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,7 @@ MIN_RHO = 1e-6
 
 @dataclass(frozen=True)
 class LikelihoodModel:
-    """Measurement y = A x + N(0, sigma_y^2 I) with A given in SVD form."""
+    """Measurement y = A x + N(0, sigma_y^2 I) with A A^T = s^2 I."""
 
     operator: SvdOperator
     noise_sigma: float
@@ -55,35 +58,32 @@ def _check_rho(rho: float) -> float:
     return max(float(rho), MIN_RHO)
 
 
-def spectral_precision(model: LikelihoodModel, rho: float) -> np.ndarray:
-    """Diagonal of the conditional precision in the spectral basis (length n)."""
+def _conditional_draw(model: LikelihoodModel, x: np.ndarray, rho: float,
+                      eps: np.ndarray) -> tuple[np.ndarray, float]:
+    """The draw z(eps) of the module docstring, written into eps; and c."""
     rho = _check_rho(rho)
     op = model.operator
-    prec = np.full(op.n, 1.0 / rho**2)
-    prec[: op.m] += op.singular_values**2 / model.noise_sigma**2
-    return prec
+    s2 = op.singular_value**2
+    c = 1.0 / (1.0 / rho**2 + s2 / model.noise_sigma**2)
+    # A is linear, so A((c/rho^2 - 1) x + (sqrt(c) - rho) eps) is formed from
+    # the two small images A x and A eps
+    w = op.apply(x) * ((c / rho**2 - 1.0) / s2)
+    w += op.apply(eps) * ((math.sqrt(c) - rho) / s2)
+    w += model.measurement * (c / model.noise_sigma**2)
+    eps *= rho
+    eps += x
+    return op.add_adjoint(eps, w), c
 
 
 def conditional_moments(model: LikelihoodModel, x: np.ndarray,
-                        rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """Mean image and spectral precision of the z | x conditional."""
-    rho = _check_rho(rho)
-    op = model.operator
-    prec = spectral_precision(model, rho)
-    rhs = op.to_spectral(x) / rho**2
-    rhs[: op.m] += op.singular_values * op.out_to_spectral(model.measurement) \
-        / model.noise_sigma**2
-    return op.from_spectral(rhs / prec), prec
+                        rho: float) -> tuple[np.ndarray, float]:
+    """Mean image of the z | x conditional and its variance c along the
+    measured directions (null-space directions have variance rho^2)."""
+    return _conditional_draw(model, x, rho, np.zeros(model.operator.in_shape))
 
 
 def sample_conditional(model: LikelihoodModel, x: np.ndarray, rho: float,
                        rng: np.random.Generator) -> np.ndarray:
     """Exact draw from the z | x conditional; deterministic given the rng state."""
-    rho = _check_rho(rho)
-    op = model.operator
-    prec = spectral_precision(model, rho)
-    rhs = op.to_spectral(x) / rho**2
-    rhs[: op.m] += op.singular_values * op.out_to_spectral(model.measurement) \
-        / model.noise_sigma**2
-    coeffs = rhs / prec + rng.standard_normal(op.n) / np.sqrt(prec)
-    return op.from_spectral(coeffs)
+    eps = rng.standard_normal(model.operator.in_shape)
+    return _conditional_draw(model, x, rho, eps)[0]

@@ -1,11 +1,9 @@
-"""Linear forward operators with precomputed spectral (SVD) factorizations.
+"""Linear forward operators with orthogonal rows of equal norm.
 
-Each operator A = U diag(s) V^T exposes forward/adjoint application plus
-transforms into and out of the right-singular basis V.  The first
-``min(m, n)`` spectral coordinates are the measured directions; the remaining
-``n - m`` coordinates span the null space of A.  All transforms are
-block-local O(n) operations, never dense matrix products, so they scale to
-1024x1024 grids.
+Every operator A here has A A^T = s^2 I for one scalar singular value s, so
+A^T A / s^2 projects onto the measured directions and A^T y / s^2 is the
+minimum-norm inverse.  Both maps are block-local reshapes, never dense matrix
+products, so they scale to 1024x1024 grids.
 """
 
 from __future__ import annotations
@@ -16,13 +14,14 @@ from pnpdm.images import as_image
 
 
 class SvdOperator:
-    """Base class; subclasses implement the maps, the base owns the contract."""
+    """Base class; subclasses implement the maps, the base owns the contract
+    A A^T = singular_value^2 I and the shape checks."""
 
     def __init__(self, in_shape: tuple[int, int], out_shape: tuple[int, int],
-                 singular_values: np.ndarray):
+                 singular_value: float):
         self.in_shape = in_shape
         self.out_shape = out_shape
-        self.singular_values = np.asarray(singular_values, dtype=np.float64)
+        self.singular_value = float(singular_value)
 
     @property
     def n(self) -> int:
@@ -35,29 +34,16 @@ class SvdOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def add_adjoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x += A^T y in place on a float64 image x; returns x."""
+        raise NotImplementedError
+
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def to_spectral(self, x: np.ndarray) -> np.ndarray:
-        """V^T x as a length-n vector, measured directions first."""
-        raise NotImplementedError
-
-    def from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        """V @ coeffs back to an image."""
-        raise NotImplementedError
-
-    def out_to_spectral(self, y: np.ndarray) -> np.ndarray:
-        """U^T y as a length-m vector (U is the identity for both operators here)."""
-        return self._check_out(y).ravel()
-
-    def out_from_spectral(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.asarray(coeffs, dtype=np.float64).reshape(self.out_shape)
+        return self.add_adjoint(np.zeros(self.in_shape), y)
 
     def pseudo_inverse(self, y: np.ndarray) -> np.ndarray:
-        """Minimum-norm solution V diag(1/s) U^T y (zero on the null space)."""
-        coeffs = np.zeros(self.n)
-        coeffs[: self.m] = self.out_to_spectral(y) / self.singular_values
-        return self.from_spectral(coeffs)
+        """Minimum-norm solution A^T y / s^2 (zero on the null space)."""
+        return self.adjoint(self._check_out(y) / self.singular_value**2)
 
     def _check_in(self, x: np.ndarray) -> np.ndarray:
         x = as_image(x)
@@ -72,34 +58,11 @@ class SvdOperator:
         return y
 
 
-class IdentityOperator(SvdOperator):
-    """A = I; all singular values 1, V = I."""
-
-    def __init__(self, height: int, width: int):
-        super().__init__((height, width), (height, width), np.ones(height * width))
-
-    def apply(self, x):
-        return self._check_in(x).copy()
-
-    def adjoint(self, y):
-        return self._check_out(y).copy()
-
-    def to_spectral(self, x):
-        return self._check_in(x).ravel()
-
-    def from_spectral(self, coeffs):
-        return np.asarray(coeffs, dtype=np.float64).reshape(self.in_shape)
-
-
 class BlockAverageOperator(SvdOperator):
     """Average each f x f block to one output pixel.
 
-    All m singular values equal 1/f; the corresponding right-singular vectors
-    are the normalized block indicators (value 1/f on the block).  The
-    orthonormal completion of V is analytic: inside every block the mean-zero
-    subspace carries the trailing f^2 - 1 columns of the Householder
-    reflection that maps e_1 onto the normalized indicator, identical across
-    blocks, so both spectral transforms are block-local.
+    Each row of A holds 1/f^2 on one block, so A A^T = I / f^2 and s = 1/f;
+    the measured directions are the block-constant images.
     """
 
     def __init__(self, factor: int, height: int, width: int):
@@ -107,11 +70,9 @@ class BlockAverageOperator(SvdOperator):
             raise ValueError(f"factor must be >= 1, got {factor}")
         if height % factor or width % factor:
             raise ValueError(f"factor {factor} must divide dims {height}x{width}")
-        out = (height // factor, width // factor)
-        super().__init__((height, width), out,
-                         np.full(out[0] * out[1], 1.0 / factor))
+        super().__init__((height, width), (height // factor, width // factor),
+                         1.0 / factor)
         self.factor = factor
-        self._basis = _householder_block_basis(factor)
 
     def apply(self, x):
         x = self._check_in(x)
@@ -119,46 +80,15 @@ class BlockAverageOperator(SvdOperator):
         hb, wb = self.out_shape
         return x.reshape(hb, f, wb, f).mean(axis=(1, 3))
 
-    def adjoint(self, y):
+    def add_adjoint(self, x, y):
+        x = self._check_in(x)
         y = self._check_out(y)
         f = self.factor
-        return np.repeat(np.repeat(y, f, axis=0), f, axis=1) / (f * f)
-
-    def to_spectral(self, x):
-        blocks = self._to_blocks(self._check_in(x))
-        coeffs = blocks @ self._basis
-        return np.concatenate([coeffs[:, 0], coeffs[:, 1:].ravel()])
-
-    def from_spectral(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        f2 = self.factor * self.factor
-        per_block = np.empty((self.m, f2))
-        per_block[:, 0] = coeffs[: self.m]
-        per_block[:, 1:] = coeffs[self.m :].reshape(self.m, f2 - 1)
-        return self._from_blocks(per_block @ self._basis.T)
-
-    def _to_blocks(self, x: np.ndarray) -> np.ndarray:
-        f = self.factor
         hb, wb = self.out_shape
-        return x.reshape(hb, f, wb, f).transpose(0, 2, 1, 3).reshape(self.m, f * f)
-
-    def _from_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        f = self.factor
-        hb, wb = self.out_shape
-        return blocks.reshape(hb, wb, f, f).transpose(0, 2, 1, 3).reshape(self.in_shape)
-
-
-def _householder_block_basis(f: int) -> np.ndarray:
-    """Orthogonal f^2 x f^2 matrix whose first column is the normalized block
-    indicator (all entries 1/f); remaining columns span the mean-zero subspace."""
-    f2 = f * f
-    if f == 1:
-        return np.ones((1, 1))
-    u = np.full(f2, 1.0 / f)
-    w = -u
-    w[0] += 1.0  # e_1 - u
-    w /= np.linalg.norm(w)
-    return np.eye(f2) - 2.0 * np.outer(w, w)
+        # splitting both axes is always a view, so this adds into x itself,
+        # broadcasting the small (hb, wb) array without a full-size temporary
+        x.reshape(hb, f, wb, f)[...] += (y / (f * f))[:, None, :, None]
+        return x
 
 
 def block_average_downsample(factor: int, height: int, width: int) -> SvdOperator:
@@ -167,5 +97,5 @@ def block_average_downsample(factor: int, height: int, width: int) -> SvdOperato
 
 
 def identity_operator(height: int, width: int) -> SvdOperator:
-    """Identity forward model (pure denoising)."""
-    return IdentityOperator(height, width)
+    """Identity forward model (pure denoising): block averaging with f = 1."""
+    return BlockAverageOperator(1, height, width)

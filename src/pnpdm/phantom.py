@@ -9,7 +9,7 @@ followed by additive Gaussian pixel noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

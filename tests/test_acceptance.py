@@ -138,18 +138,14 @@ def test_a2_conditional_matches_dense_gaussian():
         x = rng.random(op.in_shape)
         a = dense_matrix(op)
         for rho in (0.05, 0.4, 2.0):
-            mean, prec = conditional_moments(model, x, rho)
+            mean, c = conditional_moments(model, x, rho)
             dense_prec = a.T @ a / 0.08**2 + np.eye(op.n) / rho**2
             dense_cov = np.linalg.inv(dense_prec)
             dense_mean = dense_cov @ (a.T @ y.ravel() / 0.08**2 + x.ravel() / rho**2)
             assert np.max(np.abs(mean.ravel() - dense_mean)) < 1e-10
-            # spectral variances diagonalize the dense covariance
-            basis = np.stack(
-                [op.to_spectral(col.reshape(op.in_shape)) for col in np.eye(op.n)],
-                axis=1,
-            )
-            diag = np.diag(basis @ dense_cov @ basis.T)
-            assert np.max(np.abs(diag - 1.0 / prec)) < 1e-10
+            # full covariance: rho^2 on the null space, c on the measured subspace
+            cov = rho**2 * np.eye(op.n) + (c - rho**2) * (np.linalg.pinv(a) @ a)
+            assert np.max(np.abs(cov - dense_cov)) < 1e-10
 
     # Monte-Carlo check of the sampler on one configuration
     op = block_average_downsample(2, 4, 4)
@@ -158,14 +154,13 @@ def test_a2_conditional_matches_dense_gaussian():
     model = LikelihoodModel(operator=op, noise_sigma=0.1, measurement=y)
     x = rng.random(op.in_shape)
     rho = 0.3
-    mean, prec = conditional_moments(model, x, rho)
+    mean, _ = conditional_moments(model, x, rho)
     draws = np.stack(
         [sample_conditional(model, x, rho, rng) for _ in range(20000)]
     )
-    basis = np.stack(
-        [op.to_spectral(col.reshape(op.in_shape)) for col in np.eye(op.n)], axis=1
-    )
-    exact_var = (basis.T**2 @ (1.0 / prec)).reshape(op.in_shape)
+    a = dense_matrix(op)
+    dense_cov = np.linalg.inv(a.T @ a / 0.1**2 + np.eye(op.n) / rho**2)
+    exact_var = np.diag(dense_cov).reshape(op.in_shape)
     se = np.sqrt(exact_var / draws.shape[0])
     assert np.max(np.abs(draws.mean(axis=0) - mean) / se) < 5.0
     assert np.max(np.abs(draws.var(axis=0) / exact_var - 1.0)) < 0.1
@@ -309,16 +304,15 @@ def test_a6_block_average_svd_exact():
                 op = block_average_downsample(f, h, w)
                 a = dense_matrix(op)
                 s = np.linalg.svd(a, compute_uv=False)
-                assert np.max(np.abs(np.sort(s) - np.sort(op.singular_values))) < 1e-12
-                assert np.max(np.abs(op.singular_values - 1.0 / f)) < 1e-12
+                assert np.max(np.abs(s - op.singular_value)) < 1e-12
+                assert abs(op.singular_value - 1.0 / f) < 1e-12
 
-                # measured-subspace projector: dense pseudoinverse route
+                # measured-subspace projector A^T A / s^2: dense pseudoinverse route
                 p_dense = np.linalg.pinv(a) @ a
                 p_ours = np.empty((op.n, op.n))
                 for j, col in enumerate(np.eye(op.n)):
-                    coeffs = op.to_spectral(col.reshape(op.in_shape))
-                    coeffs[op.m :] = 0.0
-                    p_ours[:, j] = op.from_spectral(coeffs).ravel()
+                    p_ours[:, j] = op.adjoint(op.apply(col.reshape(op.in_shape))).ravel()
+                p_ours /= op.singular_value**2
                 assert np.max(np.abs(p_ours - p_dense)) < 1e-10
 
                 rng = np.random.default_rng(checked)

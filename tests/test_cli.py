@@ -228,6 +228,25 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     assert main(["reconstruct", str(cfg)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command,old,new", [
+    ("reconstruct", "factor = 2", "factor = 0"),
+    ("reconstruct", "sigma_y = 0.05", "sigma_y = 0"),
+    ("reconstruct", "rho_min = 0.2", "rho_min = 2.0"),
+    ("reconstruct", "steps = 6", "steps = 0"),
+    ("reconstruct", "seed = 1", "seed = 1\ninit = bogus"),
+    ("reconstruct", "sigma_floor = 0.02", "sigma_floor = 0.2"),
+    ("simulate", "factor = 4", "factor = 3"),
+], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
+    cfg = (_simulate_config(tmp_path) if command == "simulate"
+           else _reconstruct_config(tmp_path, "kind = gaussian"))
+    text = cfg.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main([command, str(cfg)]) == EXIT_USAGE
+    assert "config error" in capsys.readouterr().err
+
+
 def test_reconstruct_bridge_failure_exit_code(tmp_path):
     cfg = _reconstruct_config(tmp_path, "kind = bridge\ncommand = false")
     assert main(["reconstruct", str(cfg)]) == EXIT_BRIDGE

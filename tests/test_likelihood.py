@@ -9,7 +9,6 @@ from pnpdm.likelihood import (
     conditional_moments,
     data_fidelity,
     sample_conditional,
-    spectral_precision,
 )
 from pnpdm.operators import block_average_downsample, identity_operator
 
@@ -39,16 +38,13 @@ def _dense_moments(model, x, rho):
 def test_conditional_moments_match_dense(op, rho):
     model = _model(op, sigma_y=0.07, seed=3)
     x = np.random.default_rng(4).random(op.in_shape)
-    mean, prec = conditional_moments(model, x, rho)
+    mean, c = conditional_moments(model, x, rho)
     dense_mean, dense_cov = _dense_moments(model, x, rho)
     assert np.max(np.abs(mean - dense_mean)) < 1e-10
-    # spectral precision diagonalizes the dense covariance: V^T Sigma V diag
-    coeff_var = 1.0 / prec
-    basis = np.stack(
-        [op.to_spectral(col.reshape(op.in_shape)) for col in np.eye(op.n)], axis=1
-    )
-    diag = np.diag(basis @ dense_cov @ basis.T)
-    assert np.max(np.abs(diag - coeff_var)) < 1e-10
+    # covariance rho^2 I + (c - rho^2) P with P the dense measured-subspace projector
+    a = dense_matrix(op)
+    cov = rho**2 * np.eye(op.n) + (c - rho**2) * (np.linalg.pinv(a) @ a)
+    assert np.max(np.abs(cov - dense_cov)) < 1e-10
 
 
 def test_sample_conditional_monte_carlo_moments():
@@ -56,16 +52,12 @@ def test_sample_conditional_monte_carlo_moments():
     model = _model(op, sigma_y=0.15, seed=8)
     x = np.random.default_rng(9).random(op.in_shape)
     rho = 0.3
-    mean, prec = conditional_moments(model, x, rho)
+    mean, _ = conditional_moments(model, x, rho)
     rng = np.random.default_rng(123)
     draws = np.stack([sample_conditional(model, x, rho, rng) for _ in range(20000)])
     emp_mean = draws.mean(axis=0)
     pixel_var = draws.var(axis=0)
-    # pixel variances from the spectral diagonal: diag(V diag(1/prec) V^T)
-    basis = np.stack(
-        [op.to_spectral(col.reshape(op.in_shape)) for col in np.eye(op.n)], axis=1
-    )
-    exact_var = (basis.T**2 @ (1.0 / prec)).reshape(op.in_shape)
+    exact_var = np.diag(_dense_moments(model, x, rho)[1]).reshape(op.in_shape)
     se = np.sqrt(exact_var / draws.shape[0])
     assert np.max(np.abs(emp_mean - mean) / se) < 5.0
     assert np.max(np.abs(pixel_var - exact_var) / exact_var) < 0.1
@@ -90,11 +82,16 @@ def test_data_fidelity_manual():
 
 
 def test_spectral_precision_values():
+    """The conditional precision has eigenvalue 1/c = s^2/sigma_y^2 + 1/rho^2
+    on the m measured directions and 1/rho^2 on the null space."""
     op = block_average_downsample(2, 4, 4)
     model = _model(op, sigma_y=0.2)
-    prec = spectral_precision(model, 0.5)
-    assert np.allclose(prec[: op.m], (0.5**2) / 0.04 + 4.0)
-    assert np.allclose(prec[op.m :], 4.0)
+    _, c = conditional_moments(model, np.zeros(op.in_shape), 0.5)
+    assert abs(1.0 / c - ((0.5**2) / 0.04 + 4.0)) < 1e-12
+    a = dense_matrix(op)
+    eig = np.linalg.eigvalsh(a.T @ a / 0.04 + 4.0 * np.eye(op.n))  # ascending
+    assert np.allclose(eig[: op.n - op.m], 4.0)
+    assert np.allclose(eig[op.n - op.m :], 1.0 / c)
 
 
 def test_validation():
