@@ -83,14 +83,19 @@ class GmmPrior:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", c)
 
-    def _log_resp(self, x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pixel component log-responsibilities (..., K), max-subtracted."""
-        var = self.variances + sigma**2  # (K,)
-        resid = x[..., None] - self.means
-        log_w = np.log(self.weights) - 0.5 * (np.log(var) + _LOG_2PI) \
-            - 0.5 * resid * resid / var
-        peak = log_w.max(axis=-1, keepdims=True)
-        return log_w - peak, peak
+    def _log_weights(self, flat: np.ndarray, sigma: float) -> np.ndarray:
+        """(K, N) log w_k N(x; mu_k, c_k + sigma^2) + log(2 pi) / 2 of a flat x.
+
+        The log-weight is quadratic in x, so one (K, 3) @ (3, N) product
+        gives all of them.
+        """
+        var = self.variances + sigma**2
+        coefficients = np.stack([
+            np.log(self.weights) - 0.5 * (np.log(var) + self.means**2 / var),
+            self.means / var,
+            -0.5 / var,
+        ], axis=1)
+        return coefficients @ np.stack([np.ones_like(flat), flat, flat * flat])
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Responsibility-weighted mixture of per-component posterior means."""
@@ -100,8 +105,7 @@ class GmmPrior:
                              sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and Tweedie factor Var[x0 | x] / sigma^2, in one pass.
 
-        Component k's log-weight log w_k N(x; mu_k, c_k + sigma^2) is
-        quadratic in x, so one (K, 3) @ (3, N) product gives all of them.  Its
+        The component log-weights come from ``_log_weights``.  Component k's
         posterior mean m_k = (1 - g_k) mu_k + g_k x, g_k = c_k / (c_k + sigma^2),
         is linear in x, so after the max-subtract and exp one (6, K) @ (K, N)
         product of the responsibilities r_k gives every sum that
@@ -115,16 +119,10 @@ class GmmPrior:
         if sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
         x = np.asarray(x, dtype=np.float64)
-        var = self.variances + sigma**2
-        gain = self.variances / var
+        gain = self.variances / (self.variances + sigma**2)
         offset = (1.0 - gain) * self.means
-        log_weight = np.stack([
-            np.log(self.weights) - 0.5 * (np.log(var) + self.means**2 / var),
-            self.means / var,
-            -0.5 / var,
-        ], axis=1)
         flat = x.reshape(-1)
-        r = log_weight @ np.stack([np.ones_like(flat), flat, flat * flat])
+        r = self._log_weights(flat, sigma)
         r -= r.max(axis=0)
         np.exp(r, out=r)
         moments = np.stack([np.ones_like(gain), offset, gain,
@@ -137,9 +135,10 @@ class GmmPrior:
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:
         x = np.asarray(x, dtype=np.float64)
-        log_r, peak = self._log_resp(x, sigma)
-        per_pixel = peak[..., 0] + np.log(np.exp(log_r).sum(axis=-1))
-        return float(per_pixel.sum())
+        log_w = self._log_weights(x.reshape(-1), sigma)
+        peak = log_w.max(axis=0)
+        per_pixel = peak + np.log(np.exp(log_w - peak).sum(axis=0))
+        return float(per_pixel.sum()) - 0.5 * _LOG_2PI * x.size
 
     def sample(self, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
         k = rng.choice(self.weights.size, size=shape, p=self.weights)

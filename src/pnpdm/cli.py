@@ -6,6 +6,12 @@ Subcommands::
     pnpdm reconstruct <config>         run the posterior sampler
     pnpdm evaluate <ref> <test>...     PSNR/SSIM table against a reference
 
+Each subcommand reads its config against one schema, ``{section: {key:
+parser}}`` (``SIMULATE_SCHEMA``, ``RECONSTRUCT_SCHEMA``), and builds each
+object from its own section; a key left unset takes the default of the
+dataclass it feeds, except for the few defaults that belong to the CLI
+(measurement, prior parameters, phantom size, run length, init, chains).
+
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 3 bridge/external failure.
 """
@@ -13,7 +19,7 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 from __future__ import annotations
 
 import argparse
-import re
+import dataclasses
 import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,15 +29,7 @@ import numpy as np
 
 from pnpdm.analytic import GaussianPrior, GmmPrior
 from pnpdm.bridge import BridgeConfig, BridgeDenoiser, BridgeError
-from pnpdm.config import (
-    ConfigError,
-    get_value,
-    load_config,
-    parse_bool,
-    parse_float_list,
-    parse_number,
-    validate_keys,
-)
+from pnpdm.config import ConfigError, boolean, finite_float, float_list, read_config
 from pnpdm.images import read_image, write_image
 from pnpdm.likelihood import LikelihoodModel, data_fidelity
 from pnpdm.metrics import psnr, ssim
@@ -45,24 +43,31 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_BRIDGE = 3
 
-_LAYER_KEY = re.compile(r"^layer\d+$")
+_LAYER_KEY = r"layer\d+"
 
 SIMULATE_SCHEMA = {
-    "phantom": lambda k: k in {"height", "width", "background", "speckle_shape", "seed"}
-    or bool(_LAYER_KEY.match(k)),
-    "measurement": {"factor", "sigma_y", "seed"},
-    "io": {"output_dir"},
+    "phantom": {"height": int, "width": int, "background": finite_float,
+                "speckle_shape": finite_float, "seed": int, _LAYER_KEY: float_list},
+    "measurement": {"factor": int, "sigma_y": finite_float, "seed": int},
+    "io": {"output_dir": str},
+}
+
+# [prior] keys by kind; a key of another kind is an error.
+PRIOR_KEYS = {
+    "gaussian": {"mean": finite_float, "variance": finite_float},
+    "gmm": {"means": float_list, "weights": float_list, "variances": float_list},
+    "bridge": {"command": shlex.split, "timeout": finite_float, "restart_on_crash": boolean},
 }
 
 RECONSTRUCT_SCHEMA = {
-    "measurement": {"factor", "sigma_y"},
-    "schedule": {"rho0", "rho_min", "alpha"},
-    "sde": {"steps", "curvature", "sigma_floor", "stochastic"},
-    "run": {"iterations", "burn_in", "collect_every", "chains", "seed", "init",
-            "paper_strict"},
-    "prior": {"kind", "mean", "variance", "means", "weights", "variances",
-              "command", "timeout", "restart_on_crash"},
-    "io": {"input", "output", "log", "samples_dir"},
+    "measurement": {"factor": int, "sigma_y": finite_float},
+    "schedule": {"rho0": finite_float, "rho_min": finite_float, "alpha": finite_float},
+    "sde": {"steps": int, "curvature": finite_float, "sigma_floor": finite_float,
+            "stochastic": boolean},
+    "run": {"iterations": int, "burn_in": int, "collect_every": int, "chains": int,
+            "seed": int, "init": str},
+    "prior": {"kind": str, **{k: p for keys in PRIOR_KEYS.values() for k, p in keys.items()}},
+    "io": {"input": str, "output": str, "log": str, "samples_dir": str},
 }
 
 # Default phantom geometry: three gently curved tissue bands on a dark
@@ -85,48 +90,29 @@ def _build(section: str, factory, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _phantom_spec(sections, seed_override=None) -> PhantomSpec:
-    section = sections.get("phantom", {})
-    height = parse_number(section.get("height", "256"), "phantom.height", int)
-    width = parse_number(section.get("width", "256"), "phantom.width", int)
-    seed = parse_number(section.get("seed", "0"), "phantom.seed", int)
-    if seed_override is not None:
-        seed = seed_override
-    layer_keys = sorted(
-        (k for k in section if _LAYER_KEY.match(k)),
-        key=lambda k: int(k[5:]),
-    )
+def _phantom_spec(section: dict, seed_override=None) -> PhantomSpec:
+    fields = {"height": 256, "width": 256, **section}
     layers = []
-    for key in layer_keys:
-        values = parse_float_list(section[key], f"phantom.{key}")
+    for key in sorted((k for k in section if k.startswith("layer")), key=lambda k: int(k[5:])):
+        values = fields.pop(key)
         if len(values) != 4:
             raise ConfigError(f"phantom.{key}: expected 'c0,c1,c2,brightness'")
-        layers.append(Layer(depth=(values[0], values[1], values[2]), brightness=values[3]))
-    if not layer_keys:
-        layers = list(_default_layers(height, width))
-    return _build(
-        "phantom", PhantomSpec,
-        height=height,
-        width=width,
-        layers=tuple(layers),
-        speckle_shape=parse_number(section.get("speckle_shape", "6.0"),
-                                   "phantom.speckle_shape"),
-        background=parse_number(section.get("background", "0.05"), "phantom.background"),
-        seed=seed,
-    )
+        layers.append(Layer(depth=tuple(values[:3]), brightness=values[3]))
+    if seed_override is not None:
+        fields["seed"] = seed_override
+    spec = _build("phantom", PhantomSpec, layers=tuple(layers), **fields)
+    if layers:
+        return spec
+    return dataclasses.replace(spec, layers=_default_layers(spec.height, spec.width))
 
 
 def cmd_simulate(config_path: str, seed_override=None) -> int:
-    sections = load_config(config_path)
-    validate_keys(sections, SIMULATE_SCHEMA)
-    spec = _phantom_spec(sections, seed_override)
-    factor = parse_number(get_value(sections, "measurement", "factor", "4"),
-                          "measurement.factor", int)
-    sigma_y = parse_number(get_value(sections, "measurement", "sigma_y", "0.03"),
-                           "measurement.sigma_y")
-    noise_seed = parse_number(get_value(sections, "measurement", "seed", str(spec.seed + 1)),
-                              "measurement.seed", int)
-    out_dir = Path(get_value(sections, "io", "output_dir", "."))
+    cfg = read_config(config_path, SIMULATE_SCHEMA)
+    spec = _phantom_spec(cfg["phantom"], seed_override)
+    factor = cfg["measurement"].get("factor", 4)
+    sigma_y = cfg["measurement"].get("sigma_y", 0.03)
+    noise_seed = cfg["measurement"].get("seed", spec.seed + 1)
+    out_dir = Path(cfg["io"].get("output_dir", "."))
 
     clean, speckled = generate_phantom(spec)
     lr = _build("measurement", degrade, speckled, factor, sigma_y, noise_seed)
@@ -160,123 +146,75 @@ def cmd_simulate(config_path: str, seed_override=None) -> int:
     return EXIT_OK
 
 
-def _build_denoiser(sections):
+def _build_denoiser(section: dict):
     """Returns (denoise callable, closer callable)."""
-    section = sections.get("prior", {})
-    kind = section.get("kind", "gaussian")
+    keys = dict(section)
+    kind = keys.pop("kind", "gaussian")
+    if kind not in PRIOR_KEYS:
+        raise ConfigError(f"unknown prior kind {kind!r}")
+    stray = keys.keys() - PRIOR_KEYS[kind].keys()
+    if stray:
+        raise ConfigError(f"prior.{min(stray)} does not apply to kind = {kind}")
     if kind == "gaussian":
-        prior = GaussianPrior(
-            mean=parse_number(section.get("mean", "0.5"), "prior.mean"),
-            variance=parse_number(section.get("variance", "0.04"), "prior.variance"),
-        )
+        prior = _build("prior", GaussianPrior, **{"mean": 0.5, "variance": 0.04, **keys})
         return prior.denoise, lambda: None
     if kind == "gmm":
-        means = parse_float_list(section.get("means", "0.05,0.45,0.75"), "prior.means")
-        weights = parse_float_list(section.get("weights", ",".join(["1"] * len(means))),
-                                   "prior.weights")
-        variances = parse_float_list(
-            section.get("variances", ",".join(["0.0009"] * len(means))),
-            "prior.variances",
-        )
-        prior = _build("prior", GmmPrior, weights=np.array(weights), means=np.array(means),
-                       variances=np.array(variances))
+        means = keys.get("means", [0.05, 0.45, 0.75])
+        prior = _build("prior", GmmPrior, means=means,
+                       weights=keys.get("weights", [1.0] * len(means)),
+                       variances=keys.get("variances", [0.0009] * len(means)))
         return prior.denoise, lambda: None
-    if kind.startswith("bridge:") or kind == "bridge":
-        command = kind[len("bridge:"):] if kind.startswith("bridge:") \
-            else section.get("command", "")
-        if not command:
-            raise ConfigError("prior.kind = bridge requires prior.command")
-        bridge = BridgeDenoiser(
-            BridgeConfig(
-                command=shlex.split(command),
-                timeout=parse_number(section.get("timeout", "30"), "prior.timeout"),
-                restart_on_crash=parse_bool(section.get("restart_on_crash", "false"),
-                                            "prior.restart_on_crash"),
-            )
-        )
-        return bridge.denoise, bridge.close
-    raise ConfigError(f"unknown prior kind {kind!r}")
+    if "command" not in keys:
+        raise ConfigError("prior.kind = bridge requires prior.command")
+    bridge = BridgeDenoiser(_build("prior", BridgeConfig, **keys))
+    return bridge.denoise, bridge.close
 
 
 def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> int:
-    sections = load_config(config_path)
-    validate_keys(sections, RECONSTRUCT_SCHEMA)
+    cfg = read_config(config_path, RECONSTRUCT_SCHEMA)
 
-    input_path = get_value(sections, "io", "input")
-    if input_path is None:
+    io = cfg["io"]
+    if "input" not in io:
         raise ConfigError("io.input is required for reconstruct")
-    output_path = Path(get_value(sections, "io", "output", "reconstruction.pnpi"))
-    log_path = get_value(sections, "io", "log")
-    samples_dir = get_value(sections, "io", "samples_dir")
+    output_path = Path(io.get("output", "reconstruction.pnpi"))
+    log_path = io.get("log")
+    samples_dir = io.get("samples_dir")
 
-    measurement = read_image(input_path)
-    factor = parse_number(get_value(sections, "measurement", "factor", "4"),
-                          "measurement.factor", int)
-    sigma_y = parse_number(get_value(sections, "measurement", "sigma_y", "0.03"),
-                           "measurement.sigma_y")
+    measurement = read_image(io["input"])
+    factor = cfg["measurement"].get("factor", 4)
     operator = _build("measurement", block_average_downsample,
                       factor, measurement.shape[0] * factor, measurement.shape[1] * factor)
-    model = _build("measurement", LikelihoodModel, operator=operator, noise_sigma=sigma_y,
+    model = _build("measurement", LikelihoodModel, operator=operator,
+                   noise_sigma=cfg["measurement"].get("sigma_y", 0.03),
                    measurement=measurement)
 
-    schedule = _build(
-        "schedule", AnnealSchedule,
-        rho0=parse_number(get_value(sections, "schedule", "rho0", "10"), "schedule.rho0"),
-        rho_min=parse_number(get_value(sections, "schedule", "rho_min", "0.3"),
-                             "schedule.rho_min"),
-        alpha=parse_number(get_value(sections, "schedule", "alpha", "0.9"),
-                           "schedule.alpha"),
-    )
-    sde = _build(
-        "sde", SdeConfig,
-        num_steps=parse_number(get_value(sections, "sde", "steps", "20"), "sde.steps", int),
-        curvature=parse_number(get_value(sections, "sde", "curvature", "7"),
-                               "sde.curvature"),
-        sigma_floor=parse_number(get_value(sections, "sde", "sigma_floor", "0.01"),
-                                 "sde.sigma_floor"),
-        stochastic=parse_bool(get_value(sections, "sde", "stochastic", "true"),
-                              "sde.stochastic"),
-    )
+    schedule = _build("schedule", AnnealSchedule, **cfg["schedule"])
+    sde = _build("sde", SdeConfig, **{"num_steps" if k == "steps" else k: v
+                                      for k, v in cfg["sde"].items()})
     # every prior step's grid starts at a rho >= rho_min: reject
     # sigma_floor >= rho_min before any chain starts
     _build("sde", sigma_grid, schedule.rho_min, sde)
 
-    run_section = sections.get("run", {})
-    seed = parse_number(run_section.get("seed", "0"), "run.seed", int)
-    if seed_override is not None:
-        seed = seed_override
-    if parse_bool(run_section.get("paper_strict", "false"), "run.paper_strict"):
-        iterations, burn_in = 100, 0
-    else:
-        burn_in_default = schedule.clamp_iteration()
-        iterations = parse_number(run_section.get("iterations", str(burn_in_default + 100)),
-                                  "run.iterations", int)
-        burn_in = parse_number(run_section.get("burn_in", str(burn_in_default)),
-                               "run.burn_in", int)
-    chains = parse_number(run_section.get("chains", "1"), "run.chains", int)
+    run = dict(cfg["run"])
+    chains = run.pop("chains", 1)
     if chains < 1:
         raise ConfigError(f"run.chains must be >= 1, got {chains}")
-    run_cfg = _build(
-        "run", RunConfig,
-        iterations=iterations,
-        burn_in=burn_in,
-        collect_every=parse_number(run_section.get("collect_every", "1"),
-                                   "run.collect_every", int),
-        seed=seed,
-    )
-    x_init = _build("run", initialize, model, run_section.get("init", "adjoint-upsample"),
-                    np.random.default_rng(seed))
+    init = run.pop("init", "adjoint-upsample")
+    if seed_override is not None:
+        run["seed"] = seed_override
+    burn_in = schedule.clamp_iteration()
+    run_cfg = _build("run", RunConfig, **{"iterations": burn_in + 100, "burn_in": burn_in,
+                                          **run})
+    x_init = _build("run", initialize, model, init, np.random.default_rng(run_cfg.seed))
 
-    denoise, close = _build_denoiser(sections)
+    denoise, close = _build_denoiser(cfg["prior"])
     log_lines: list[str] = []
 
     def log_iteration(q, rho, x):
         log_lines.append(f"{q}\t{rho:.10g}\t{data_fidelity(model, x):.10g}")
 
     def one_chain(index: int):
-        cfg_i = RunConfig(iterations=run_cfg.iterations, burn_in=run_cfg.burn_in,
-                          collect_every=run_cfg.collect_every,
-                          seed=run_cfg.seed + index)
+        cfg_i = dataclasses.replace(run_cfg, seed=run_cfg.seed + index)
         callback = log_iteration if index == 0 and log_path is not None else None
         return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)
 

@@ -1,12 +1,16 @@
-"""Minimal sectioned key=value config files.
+"""Minimal sectioned key=value config files, read against a typed schema.
 
 UTF-8 text, one ``key = value`` per line, ``#`` comments, ``[section]``
-headers.  Parsing is fail-closed: consumers validate every key against a
-schema and unknown keys are errors.
+headers.  A schema maps each section to ``{key: parser}``; a key is a
+regular expression matched against the whole name, so plain names match
+only themselves and ``layer\\d+`` matches every ``layerN``.  Reading is
+fail-closed: unknown sections, unknown keys and values their parser rejects
+raise ``ConfigError`` naming ``section.key``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -53,42 +57,40 @@ def load_config(path) -> dict[str, dict[str, str]]:
     return parse_config(text)
 
 
-def validate_keys(sections: dict[str, dict[str, str]],
-                  schema: dict[str, object]) -> None:
-    """Reject unknown sections and keys; schema values are key sets or
-    callables accepting a key name (for patterned keys like layerN)."""
-    for name, keys in sections.items():
-        if name not in schema:
-            raise ConfigError(f"unknown section [{name}]")
-        allowed = schema[name]
-        for key in keys:
-            ok = allowed(key) if callable(allowed) else key in allowed
-            if not ok:
-                raise ConfigError(f"unknown key {key!r} in section [{name}]")
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
-def get_value(sections, section: str, key: str, default=None) -> str | None:
-    return sections.get(section, {}).get(key, default)
+def float_list(text: str) -> list[float]:
+    """Comma-separated finite numbers; empty items are skipped."""
+    return [finite_float(part) for part in text.split(",") if part.strip()]
 
 
-def parse_bool(value: str, context: str) -> bool:
-    lowered = value.strip().lower()
+def boolean(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{context}: expected a boolean, got {value!r}")
+    raise ValueError("expected a boolean")
 
 
-def parse_number(value: str, context: str, kind=float):
-    try:
-        return kind(value)
-    except ValueError:
-        raise ConfigError(f"{context}: expected a {kind.__name__}, got {value!r}") from None
-
-
-def parse_float_list(value: str, context: str) -> list[float]:
-    try:
-        return [float(part) for part in value.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"{context}: expected comma-separated numbers, got {value!r}") from None
+def read_config(path, schema: dict[str, dict[str, object]]) -> dict[str, dict[str, object]]:
+    """Every schema section, holding the parsed values of the keys the file sets."""
+    typed: dict[str, dict[str, object]] = {name: {} for name in schema}
+    for name, values in load_config(path).items():
+        if name not in schema:
+            raise ConfigError(f"unknown section [{name}]")
+        for key, text in values.items():
+            parser = next((p for pattern, p in schema[name].items()
+                           if re.fullmatch(pattern, key)), None)
+            if parser is None:
+                raise ConfigError(f"unknown key {name}.{key}")
+            try:
+                typed[name][key] = parser(text)
+            except ValueError as exc:
+                raise ConfigError(f"{name}.{key} = {text!r}: {exc}") from None
+    return typed

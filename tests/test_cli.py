@@ -204,14 +204,6 @@ def test_reconstruct_log_only_when_requested(tmp_path, monkeypatch):
     assert calls == [] and not (tmp_path / "rec.log").exists()
 
 
-def test_reconstruct_paper_strict_runs_fixed_length(tmp_path):
-    cfg = _reconstruct_config(tmp_path, "kind = gaussian",
-                              run_lines="paper_strict = true")
-    assert main(["reconstruct", str(cfg)]) == EXIT_OK
-    lines = (tmp_path / "rec.log").read_text(encoding="utf-8").strip().splitlines()
-    assert len(lines) == 101  # header + 100 iterations, no burn-in discard
-
-
 def test_reconstruct_samples_dir(tmp_path):
     cfg = _reconstruct_config(tmp_path, "kind = gaussian")
     text = cfg.read_text(encoding="utf-8")
@@ -236,7 +228,20 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "seed = 1", "seed = 1\ninit = bogus"),
     ("reconstruct", "sigma_floor = 0.02", "sigma_floor = 0.2"),
     ("simulate", "factor = 4", "factor = 3"),
-], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor"])
+    ("simulate", "width = 32\nseed = 3\nlayer1 = 8,0,0,0.75\nlayer2 = 20,0,0,0.3",
+     "width = 0\nseed = 3"),
+    ("reconstruct", "sigma_y = 0.05", "sigma_y = nan"),
+    ("reconstruct", "sigma_floor = 0.02", "sigma_floor = nan"),
+    ("reconstruct", "steps = 6", "steps = 6\ncurvature = nan"),
+    ("reconstruct", "kind = gaussian", "kind = gaussian\nvariance = nan"),
+    ("reconstruct", "rho0 = 1.0", "rho0 = inf"),
+    ("reconstruct", "kind = gaussian", "kind = gaussian\nvariance = 0"),
+    ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\ntimeout = 0"),
+    ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = 'unbalanced"),
+    ("reconstruct", "kind = gaussian", "kind = gaussian\nmeans = 0.1,0.9"),
+], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
+        "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-nan", "variance-nan",
+        "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))

@@ -1,16 +1,17 @@
-"""Sectioned key=value config parsing, fail-closed validation."""
+"""Sectioned key=value config parsing, fail-closed typed reading."""
+
+import re
 
 import pytest
 
 from pnpdm.config import (
     ConfigError,
-    get_value,
+    boolean,
+    finite_float,
+    float_list,
     load_config,
-    parse_bool,
     parse_config,
-    parse_float_list,
-    parse_number,
-    validate_keys,
+    read_config,
 )
 
 
@@ -52,48 +53,63 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
-def test_validate_keys_fail_closed():
-    sections = parse_config("[run]\nseed = 1\n")
-    validate_keys(sections, {"run": {"seed"}})
-    with pytest.raises(ConfigError):
-        validate_keys(sections, {"other": {"seed"}})
-    with pytest.raises(ConfigError):
-        validate_keys(sections, {"run": {"iterations"}})
+SCHEMA = {
+    "run": {"seed": int, "rate": finite_float, "strict": boolean, "levels": float_list},
+    "phantom": {"height": int, r"layer\d+": float_list},
+    "io": {"output": str},
+}
 
 
-def test_validate_keys_callable_schema():
-    sections = parse_config("[phantom]\nlayer1 = 1,2,3,4\nlayer2 = 5,6,7,8\n")
-    validate_keys(sections, {"phantom": lambda k: k.startswith("layer")})
-    with pytest.raises(ConfigError):
-        validate_keys({"phantom": {"other": "1"}},
-                      {"phantom": lambda k: k.startswith("layer")})
+def _read(tmp_path, text):
+    path = tmp_path / "c.cfg"
+    path.write_text(text, encoding="utf-8")
+    return read_config(path, SCHEMA)
 
 
-def test_get_value_defaults():
-    sections = {"a": {"x": "1"}}
-    assert get_value(sections, "a", "x") == "1"
-    assert get_value(sections, "a", "y", "d") == "d"
-    assert get_value(sections, "b", "x") is None
+def test_read_config_typed_values_and_unset_keys_absent(tmp_path):
+    cfg = _read(tmp_path, "[run]\nseed = 42\nrate = 2.5\nstrict = on\nlevels = 1, 2.5,3\n"
+                          "[phantom]\nlayer1 = 1,2,3,4\nlayer12 = 5,6,7,8\n")
+    assert cfg == {
+        "run": {"seed": 42, "rate": 2.5, "strict": True, "levels": [1.0, 2.5, 3.0]},
+        "phantom": {"layer1": [1.0, 2.0, 3.0, 4.0], "layer12": [5.0, 6.0, 7.0, 8.0]},
+        "io": {},
+    }
+    assert type(cfg["run"]["seed"]) is int
 
 
-def test_parse_bool():
-    assert parse_bool("TRUE", "c") is True
-    assert parse_bool("off", "c") is False
-    with pytest.raises(ConfigError):
-        parse_bool("maybe", "c")
+@pytest.mark.parametrize("text,names", [
+    ("[other]\nseed = 1\n", "[other]"),
+    ("[run]\niterations = 1\n", "run.iterations"),
+    ("[phantom]\nlayer = 1,2,3,4\n", "phantom.layer"),
+    ("[phantom]\nlayer1x = 1,2,3,4\n", "phantom.layer1x"),
+    ("[phantom]\nheight_layer1 = 1\n", "phantom.height_layer1"),
+    ("[run]\nseed = 2.5\n", "run.seed"),
+    ("[run]\nrate = abc\n", "run.rate"),
+    ("[run]\nstrict = maybe\n", "run.strict"),
+    ("[run]\nlevels = 1,x\n", "run.levels"),
+    ("[run]\nrate = nan\n", "run.rate"),
+    ("[run]\nrate = -inf\n", "run.rate"),
+    ("[run]\nrate = Infinity\n", "run.rate"),
+    ("[run]\nlevels = 1,nan\n", "run.levels"),
+    ("[run]\nlevels = inf\n", "run.levels"),
+], ids=["unknown-section", "unknown-key", "layer-without-digits", "layer-suffix",
+        "layer-prefix", "int-fraction", "float-word", "bool-word", "list-word", "nan",
+        "minus-inf", "infinity", "list-nan", "list-inf"])
+def test_read_config_fails_closed_naming_the_key(tmp_path, text, names):
+    with pytest.raises(ConfigError, match=re.escape(names)):
+        _read(tmp_path, text)
 
 
-def test_parse_number():
-    assert parse_number("42", "c", int) == 42
-    assert parse_number("2.5", "c") == 2.5
-    with pytest.raises(ConfigError):
-        parse_number("2.5", "c", int)
-    with pytest.raises(ConfigError):
-        parse_number("abc", "c")
+def test_boolean_spellings():
+    for text in ("TRUE", "yes", "1", "On"):
+        assert boolean(text) is True
+    for text in ("false", "No", "0", "off"):
+        assert boolean(text) is False
+    with pytest.raises(ValueError):
+        boolean("maybe")
 
 
-def test_parse_float_list():
-    assert parse_float_list("1, 2.5,3", "c") == [1.0, 2.5, 3.0]
-    assert parse_float_list("", "c") == []
-    with pytest.raises(ConfigError):
-        parse_float_list("1,x", "c")
+def test_float_list_parses_including_empty():
+    assert float_list("1, 2.5,3") == [1.0, 2.5, 3.0]
+    assert float_list("") == []
+    assert float_list("1,,2") == [1.0, 2.0]
