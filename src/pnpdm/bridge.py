@@ -12,8 +12,11 @@ Wire format, little-endian throughout:
 * error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
 
 Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]).
-A bridge instance is exclusive: strictly one request in flight.  Threads that
-share one instance take turns; each call holds a lock for its round trip.
+``read_frame`` is the one decoder, for servers and client alike.  A bridge
+instance is exclusive: strictly one request in flight.  Threads that share one
+instance take turns; each call holds a lock for its round trip.  A timeout or
+a malformed reply leaves the stream out of step, so the client then kills the
+server process.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from pnpdm.images import as_image
+from pnpdm.images import MAX_DIM, as_image
 
 MAGIC = b"PNPD"
 FRAME_REQUEST = 1
@@ -121,10 +124,37 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
 
 
 def _read_pixels(stream: BinaryIO, h: int, w: int) -> np.ndarray:
-    if h < 1 or w < 1 or h > 1 << 16 or w > 1 << 16:
+    if h < 1 or w < 1 or h > MAX_DIM or w > MAX_DIM:
         raise BridgeFrameError(f"frame dimensions {h}x{w} out of range")
     raw = _read_exact(stream, 4 * h * w)
     return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w)
+
+
+class _PipeReader:
+    """Blocking-stream view of a child's stdout for ``read_frame``.
+
+    ``read(count)`` returns exactly ``count`` bytes, waiting with ``select``
+    against one deadline per reader, and never reads past them.
+    """
+
+    def __init__(self, proc: subprocess.Popen, timeout: float):
+        self._proc = proc
+        self._timeout = timeout
+        self._deadline = time.monotonic() + timeout
+
+    def read(self, count: int) -> bytearray:
+        fd = self._proc.stdout.fileno()
+        data = bytearray()
+        while len(data) < count:
+            remaining = self._deadline - time.monotonic()
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+                raise BridgeTimeoutError(f"no response within {self._timeout} s")
+            chunk = os.read(fd, count - len(data))
+            if not chunk:
+                code = self._proc.poll()
+                raise BridgeProcessError(f"external process closed stdout (exit code {code})")
+            data += chunk
+        return data
 
 
 @dataclass(frozen=True)
@@ -146,12 +176,10 @@ class BridgeDenoiser:
     def __init__(self, config: BridgeConfig):
         self.config = config
         self._proc: subprocess.Popen | None = None
-        self._buffer = bytearray()
         self._lock = threading.Lock()
         self._start()
 
     def _start(self):
-        self._buffer = bytearray()
         self._proc = subprocess.Popen(
             list(self.config.command),
             stdin=subprocess.PIPE,
@@ -167,7 +195,15 @@ class BridgeDenoiser:
                 self._proc.stdin.flush()
             except (BrokenPipeError, OSError) as exc:
                 raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
-            frame = self._read_response()
+            try:
+                frame = read_frame(_PipeReader(self._proc, self.config.timeout))
+                if frame[0] == FRAME_REQUEST:
+                    raise BridgeFrameError(f"unexpected frame type {frame[0]} from server")
+            except BridgeError:
+                # a partial or unread reply would answer the next request
+                self._proc.kill()
+                self._proc.wait()
+                raise
         if frame[0] == FRAME_ERROR:
             raise BridgeRemoteError(frame[1])
         response = frame[1]
@@ -185,71 +221,6 @@ class BridgeDenoiser:
             return
         code = None if self._proc is None else self._proc.returncode
         raise BridgeProcessError(f"external process not running (exit code {code})")
-
-    def _read_response(self):
-        deadline = time.monotonic() + self.config.timeout
-        fd = self._proc.stdout.fileno()
-        while True:
-            frame = self._try_parse()
-            if frame is not None:
-                return frame
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise BridgeTimeoutError(
-                    f"no response within {self.config.timeout} s"
-                )
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                raise BridgeTimeoutError(
-                    f"no response within {self.config.timeout} s"
-                )
-            chunk = os.read(fd, 1 << 20)
-            if not chunk:
-                code = self._proc.poll()
-                raise BridgeProcessError(
-                    f"external process closed stdout (exit code {code})"
-                )
-            self._buffer += chunk
-
-    def _try_parse(self):
-        """Parse one complete response frame out of the buffer, if present.
-
-        Returns None while the buffer holds only a partial frame; raises
-        BridgeFrameError as soon as the received bytes are provably invalid.
-        """
-        buf = self._buffer
-        if len(buf) < _PREFIX.size:
-            return None
-        magic, frame_type = _PREFIX.unpack_from(buf)
-        if magic != MAGIC:
-            raise BridgeFrameError(f"bad magic {magic!r}")
-        if frame_type == FRAME_RESPONSE:
-            if len(buf) < _PREFIX.size + _DIMS.size:
-                return None
-            h, w = _DIMS.unpack_from(buf, _PREFIX.size)
-            if h < 1 or w < 1 or h > 1 << 16 or w > 1 << 16:
-                raise BridgeFrameError(f"frame dimensions {h}x{w} out of range")
-            total = _PREFIX.size + _DIMS.size + 4 * h * w
-            if len(buf) < total:
-                return None
-            pixels = np.frombuffer(
-                buf, dtype="<f4", count=h * w, offset=_PREFIX.size + _DIMS.size
-            ).astype(np.float64).reshape(h, w)
-            del buf[:total]
-            return FRAME_RESPONSE, pixels
-        if frame_type == FRAME_ERROR:
-            if len(buf) < _PREFIX.size + 4:
-                return None
-            (length,) = struct.unpack_from("<I", buf, _PREFIX.size)
-            if length > 1 << 20:
-                raise BridgeFrameError(f"unreasonable error-message length {length}")
-            total = _PREFIX.size + 4 + length
-            if len(buf) < total:
-                return None
-            message = buf[_PREFIX.size + 4 : total].decode("utf-8", "replace")
-            del buf[:total]
-            return FRAME_ERROR, message
-        raise BridgeFrameError(f"unexpected frame type {frame_type} from server")
 
     def close(self):
         if self._proc is None:

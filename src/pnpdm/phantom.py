@@ -45,6 +45,8 @@ class PhantomSpec:
             raise ValueError(f"speckle_shape must be > 0, got {self.speckle_shape}")
         if not 0.0 <= self.background <= 1.0:
             raise ValueError(f"background must be in [0, 1], got {self.background}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         center = np.array([self.width / 2.0])
         depths = [float(layer.depth_at(center)[0]) for layer in self.layers]
         if depths != sorted(depths):
@@ -74,6 +76,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:
 def degrade(clean_hr, f: int, sigma_y: float, seed: int) -> np.ndarray:
     """Block-average by f then add N(0, sigma_y^2) pixel noise (the generative
     process the likelihood model assumes)."""
+    if sigma_y < 0:
+        raise ValueError(f"sigma_y must be >= 0, got {sigma_y}")
     clean_hr = as_image(clean_hr)
     op = block_average_downsample(f, *clean_hr.shape)
     lr = op.apply(clean_hr)

@@ -26,7 +26,7 @@ of an object offering ``denoise_with_tweedie(x, sigma) -> (estimate, J)``, as
 the analytic priors do, supplies J exactly with its estimate, in one call per
 step; between the modes of a mixture J exceeds 1.  Any other denoiser is a
 black box: J is estimated by one finite-difference probe call per step,
-(denoise(x + eps) - denoise(x)) / eps, clipped to [0, 1].  For Gaussian
+(denoise(x + eps) - denoise(x)) / eps, clipped below at 0.  For Gaussian
 priors this transition is exact, so the step count controls cost rather than
 bias; a plain first-order noise term would need far finer grids to meet the
 statistical tolerances.
@@ -114,7 +114,7 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
         if cfg.stochastic:
             if exact is None:
                 probe = np.clip(denoise(x + _PROBE_EPS, sigma), _CLAMP_LO, _CLAMP_HI)
-                tweedie = np.clip((probe - estimate) / _PROBE_EPS, 0.0, 1.0)
+                tweedie = np.maximum((probe - estimate) / _PROBE_EPS, 0.0)
             noise_var = sigma_next**2 * shrink + shrink**2 * sigma**2 * tweedie
             x += shrink * (estimate - x)
             x += np.sqrt(noise_var) * rng.standard_normal(x.shape)

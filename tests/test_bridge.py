@@ -129,6 +129,46 @@ def test_slow_server_raises_timeout_error():
             bridge.denoise(np.zeros((2, 2)), 0.1)
 
 
+def test_timeout_stops_server_so_late_reply_is_not_read():
+    """The late reply to a timed-out request must not answer the next one."""
+    command = HELPER + ["--prior", "echo", "--delay", "0.5"]
+    with BridgeDenoiser(BridgeConfig(command=command, timeout=0.4)) as bridge:
+        with pytest.raises(BridgeTimeoutError):
+            bridge.denoise(np.full((2, 2), 1.0), 0.1)
+        with pytest.raises(BridgeProcessError):
+            bridge.denoise(np.full((2, 2), 2.0), 0.1)
+
+
+_REPLY_PRELUDE = (
+    "import os, sys, time\n"
+    "from pnpdm.bridge import encode_request, encode_response, read_frame\n"
+    "_, img, sigma = read_frame(sys.stdin.buffer)\n"
+)
+
+
+@pytest.mark.parametrize("reply,error", [
+    ("data = encode_response(img)\n"
+     "for piece in (data[:3], data[3:13], data[13:]):\n"
+     "    os.write(1, piece)\n"
+     "    time.sleep(0.05)\n"
+     "sys.stdin.buffer.read()\n", None),
+    ("os.write(1, encode_request(img, sigma))\n"
+     "sys.stdin.buffer.read()\n", BridgeFrameError),
+    ("os.write(1, b'PNPD' + (3).to_bytes(4, 'little') + (2 << 20).to_bytes(4, 'little'))\n"
+     "sys.stdin.buffer.read()\n", BridgeFrameError),
+    ("os.write(1, b'PNPD' + (2).to_bytes(4, 'little'))\n", BridgeProcessError),
+], ids=["response-in-pieces", "request-frame", "oversized-error", "exit-after-prefix"])
+def test_client_decodes_replies(reply, error):
+    img = np.random.default_rng(4).random((3, 5))
+    config = BridgeConfig(command=_server(_REPLY_PRELUDE + reply), timeout=20.0)
+    with BridgeDenoiser(config) as bridge:
+        if error is None:
+            assert np.max(np.abs(bridge.denoise(img, 0.1) - img)) < 1e-6
+        else:
+            with pytest.raises(error):
+                bridge.denoise(img, 0.1)
+
+
 def test_error_frame_raises_remote_error():
     script = (
         "import sys, time\n"

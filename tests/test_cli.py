@@ -239,9 +239,12 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\ntimeout = 0"),
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = 'unbalanced"),
     ("reconstruct", "kind = gaussian", "kind = gaussian\nmeans = 0.1,0.9"),
+    ("simulate", "sigma_y = 0.03", "sigma_y = -0.1"),
+    ("simulate", "seed = 3", "seed = -1"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
         "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-nan", "variance-nan",
-        "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind"])
+        "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind",
+        "simulate-sigma_y-negative", "simulate-phantom-seed-negative"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))
