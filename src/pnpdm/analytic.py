@@ -8,6 +8,7 @@ checked against closed-form answers.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,23 @@ import numpy as np
 from pnpdm.likelihood import LikelihoodModel
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+# Per-thread buffers of the fused GMM pass: chains share one prior under
+# ``--threads``, so a buffer shared across threads would be overwritten mid-pass.
+_workspace = threading.local()
+
+
+def _gmm_workspace(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's (K, N) responsibility and (6, N) sum buffers.
+
+    One pair per thread, for the last (K, N) seen: a call with another shape
+    replaces it, and the thread's exit frees it.
+    """
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].shape != (k, n):
+        buffers = (np.empty((k, n)), np.empty((6, n)))
+        _workspace.buffers = buffers
+    return buffers
 
 
 @dataclass(frozen=True)
@@ -83,11 +101,14 @@ class GmmPrior:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", c)
 
-    def _log_weights(self, flat: np.ndarray, sigma: float) -> np.ndarray:
+    def _log_weights(self, flat: np.ndarray, sigma: float, out: np.ndarray | None = None,
+                     powers: np.ndarray | None = None) -> np.ndarray:
         """(K, N) log w_k N(x; mu_k, c_k + sigma^2) + log(2 pi) / 2 of a flat x.
 
-        The log-weight is quadratic in x, so one (K, 3) @ (3, N) product
-        gives all of them.
+        The log-weight is quadratic in x, so one (K, 3) @ (3, N) product of
+        the coefficients and the powers (1, x, x^2) gives all of them.  The
+        product is written into ``out`` and the powers into ``powers`` when
+        given, else into new arrays.
         """
         var = self.variances + sigma**2
         coefficients = np.stack([
@@ -95,7 +116,12 @@ class GmmPrior:
             self.means / var,
             -0.5 / var,
         ], axis=1)
-        return coefficients @ np.stack([np.ones_like(flat), flat, flat * flat])
+        if powers is None:
+            powers = np.empty((3, flat.size))
+        powers[0] = 1.0
+        powers[1] = flat
+        np.multiply(flat, flat, out=powers[2])
+        return np.matmul(coefficients, powers, out=out)
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Responsibility-weighted mixture of per-component posterior means."""
@@ -114,7 +140,15 @@ class GmmPrior:
             Var[x0 | x] = sigma^2 sum_k r_k g_k / sum_k r_k
                           + sum_k r_k m_k^2 / sum_k r_k - E[x0 | x]^2
 
-        needs.  No (..., K) array other than the responsibilities is built.
+        needs.
+
+        The pass runs in this thread's workspace: the responsibilities r
+        (K, N) and the six sums (6, N), whose first four rows hold the powers
+        (1, x, x^2) and the column max before the product overwrites them.
+        That is (K + 6)·N·8 bytes per thread, kept for the last (K, N) seen
+        and freed when the thread exits or a call with another (K, N) replaces
+        it.  The returned mean and factor are new arrays, never views of it,
+        so a warm call allocates only those two N-arrays.
         """
         if sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -122,15 +156,29 @@ class GmmPrior:
         gain = self.variances / (self.variances + sigma**2)
         offset = (1.0 - gain) * self.means
         flat = x.reshape(-1)
-        r = self._log_weights(flat, sigma)
-        r -= r.max(axis=0)
+        r, sums = _gmm_workspace(gain.size, flat.size)
+        self._log_weights(flat, sigma, out=r, powers=sums[:3])
+        r -= np.max(r, axis=0, out=sums[3])
         np.exp(r, out=r)
         moments = np.stack([np.ones_like(gain), offset, gain,
                             offset**2, 2.0 * offset * gain, gain**2])
-        total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = moments @ r
-        mean = (s_offset + flat * s_gain) / total
-        spread = (s_sq + flat * (s_cross + flat * s_gain_sq)) / total - mean**2
-        factor = s_gain / total + np.maximum(spread, 0.0) / sigma**2
+        total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = np.matmul(moments, r, out=sums)
+        # mean = (s_offset + x s_gain) / total
+        mean = np.multiply(flat, s_gain)
+        mean += s_offset
+        mean /= total
+        # factor = s_gain / total + max(spread, 0) / sigma^2, where
+        # spread = (s_sq + x (s_cross + x s_gain_sq)) / total - mean^2
+        factor = np.multiply(flat, s_gain_sq)
+        factor += s_cross
+        factor *= flat
+        factor += s_sq
+        factor /= total
+        factor -= np.square(mean, out=s_sq)
+        np.maximum(factor, 0.0, out=factor)
+        factor /= sigma**2
+        s_gain /= total
+        factor += s_gain
         return mean.reshape(x.shape), factor.reshape(x.shape)
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:

@@ -93,31 +93,64 @@ def sigma_grid(start: float, cfg: SdeConfig) -> np.ndarray:
 _PROBE_EPS = 1e-3
 
 
+def _clipped(estimate: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A denoiser output clamped into ``out``, whose shape it must have."""
+    if np.shape(estimate) != out.shape:
+        raise ValueError(f"denoiser changed shape {out.shape} -> {np.shape(estimate)}")
+    return np.clip(estimate, _CLAMP_LO, _CLAMP_HI, out=out)
+
+
+def _noise_scale(tweedie: np.ndarray | float, base: float, slope: float,
+                 out: np.ndarray) -> np.ndarray | float:
+    """sqrt(base + slope * tweedie), in ``out`` unless the factor is a scalar."""
+    if np.ndim(tweedie) == 0:
+        return np.sqrt(base + slope * tweedie)
+    scale = np.multiply(tweedie, slope, out=out)
+    scale += base
+    return np.sqrt(scale, out=scale)
+
+
 def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
                  rng: np.random.Generator) -> np.ndarray:
-    """Integrate the reverse SDE from noise level rho, starting at z."""
+    """Integrate the reverse SDE from noise level rho, starting at z.
+
+    The iterate x starts as a copy of z.  The steps write only into x and
+    three full-size buffers allocated once per call: the clamped step, the
+    noise variance (or the black-box probe's factor) and the noise, which
+    also carries the probe's input x + eps before it is drawn.  Neither z nor
+    any array a denoiser returns is written, so a denoiser may return an
+    array it keeps.  The buffers live until the call returns; the returned
+    sample is a new array.  A ``GmmPrior`` denoiser adds its own per-thread
+    workspace of (K + 6)·N·8 bytes, which outlives the call (see
+    ``GmmPrior.denoise_with_tweedie``).
+    """
     z = np.asarray(z, dtype=np.float64)
     grid = sigma_grid(rho, cfg)
     owner = getattr(denoise, "__self__", None)
     exact = getattr(owner, "denoise_with_tweedie", None) if cfg.stochastic else None
     x = z.copy()
+    step, var, noise = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for sigma, sigma_next in zip(grid[:-1], grid[1:]):
         sigma = float(sigma)
         if exact is not None:
             estimate, tweedie = exact(x, sigma)
-            estimate = np.clip(estimate, _CLAMP_LO, _CLAMP_HI)
         else:
-            estimate = np.clip(denoise(x, sigma), _CLAMP_LO, _CLAMP_HI)
-        if estimate.shape != x.shape:
-            raise ValueError(f"denoiser changed shape {x.shape} -> {estimate.shape}")
+            estimate = denoise(x, sigma)
+        _clipped(estimate, step)
         shrink = 1.0 - sigma_next**2 / sigma**2
         if cfg.stochastic:
             if exact is None:
-                probe = np.clip(denoise(x + _PROBE_EPS, sigma), _CLAMP_LO, _CLAMP_HI)
-                tweedie = np.maximum((probe - estimate) / _PROBE_EPS, 0.0)
-            noise_var = sigma_next**2 * shrink + shrink**2 * sigma**2 * tweedie
-            x += shrink * (estimate - x)
-            x += np.sqrt(noise_var) * rng.standard_normal(x.shape)
-        else:
-            x += shrink * (estimate - x)
+                # (clip(denoise(x + eps)) - clip(denoise(x))) / eps, clipped below at 0
+                tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=noise), sigma), var)
+                tweedie -= step
+                tweedie /= _PROBE_EPS
+                np.maximum(tweedie, 0.0, out=tweedie)
+            scale = _noise_scale(tweedie, sigma_next**2 * shrink, shrink**2 * sigma**2, var)
+        step -= x
+        step *= shrink
+        x += step
+        if cfg.stochastic:
+            rng.standard_normal(out=noise)
+            noise *= scale
+            x += noise
     return np.clip(denoise(x, float(grid[-1])), _CLAMP_LO, _CLAMP_HI)

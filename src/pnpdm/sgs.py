@@ -76,7 +76,6 @@ class ChainState:
     """Mutable per-chain state; each chain owns its rng stream."""
 
     x: np.ndarray
-    z: np.ndarray | None
     q: int
     rng: np.random.Generator
 
@@ -102,8 +101,8 @@ def sgs_step(state: ChainState, model: LikelihoodModel, denoise: Denoiser,
              schedule: AnnealSchedule, sde: SdeConfig) -> ChainState:
     """One likelihood + prior alternation at the current coupling."""
     rho = rho_at(schedule, state.q)
-    state.z = sample_conditional(model, state.x, rho, state.rng)
-    state.x = prior_refine(state.z, rho, denoise, sde, state.rng)
+    z = sample_conditional(model, state.x, rho, state.rng)
+    state.x = prior_refine(z, rho, denoise, sde, state.rng)
     state.q += 1
     return state
 
@@ -121,7 +120,7 @@ def run_chain(model: LikelihoodModel, denoise: Denoiser,
         raise ValueError(
             f"x_init shape {x_init.shape} != problem shape {model.operator.in_shape}"
         )
-    state = ChainState(x=x_init.copy(), z=None, q=0,
+    state = ChainState(x=x_init.copy(), q=0,
                        rng=np.random.default_rng(cfg.seed))
     samples: list[np.ndarray] = []
     for q in range(cfg.iterations):

@@ -1,8 +1,13 @@
 """Analytic priors and the dense posterior oracle."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pnpdm import analytic
 from pnpdm.analytic import (
     GaussianPrior,
     GmmPrior,
@@ -127,6 +132,69 @@ def test_denoise_with_tweedie_matches_denoise_and_its_derivative():
         assert np.array_equal(estimate, prior.denoise(x, sigma))
         slope = (prior.denoise(x + h, sigma) - prior.denoise(x - h, sigma)) / (2 * h)
         assert np.max(np.abs(factor - slope)) < 1e-6
+
+
+def _ten_component_prior() -> GmmPrior:
+    return GmmPrior(weights=np.linspace(1.0, 2.0, 10), means=np.linspace(0.0, 1.0, 10),
+                    variances=np.linspace(0.002, 0.01, 10))
+
+
+def test_gmm_workspace_is_per_thread_and_never_returned():
+    """Threads denoising at once, at two image sizes and two threads per size,
+    get the bits of serial calls; a later call leaves earlier results intact,
+    and no result shares memory with the workspace."""
+    prior = _ten_component_prior()
+    rng = np.random.default_rng(5)
+    inputs = [rng.uniform(-0.3, 1.3, size=(side, side)) for side in (64, 96, 64, 96)]
+    sigmas = [0.02, 0.1, 0.4]
+    serial = [[prior.denoise_with_tweedie(x, s) for s in sigmas] for x in inputs]
+    mismatches = []
+    start = threading.Barrier(len(inputs))
+
+    def work(i):
+        start.wait(timeout=30)
+        for _ in range(15):
+            for s, (mean, factor) in zip(sigmas, serial[i]):
+                got_mean, got_factor = prior.denoise_with_tweedie(inputs[i], s)
+                if not (np.array_equal(got_mean, mean) and np.array_equal(got_factor, factor)):
+                    mismatches.append((i, s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+    x = inputs[0]
+    first = prior.denoise_with_tweedie(x, 0.05)
+    kept = [a.copy() for a in first]
+    second = prior.denoise_with_tweedie(x + 0.1, 0.05)
+    assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+    workspace = analytic._gmm_workspace(prior.weights.size, x.size)
+    for result in (*first, *second):
+        assert not any(np.shares_memory(result, buffer) for buffer in workspace)
+
+
+def test_gmm_warm_pass_allocates_less_than_the_responsibilities():
+    """Once this thread's workspace exists, a pass at 128^2 with K = 10 peaks
+    well under one (K, N) array: only the mean and the factor are new."""
+    prior = _ten_component_prior()
+    x = np.random.default_rng(6).uniform(-0.3, 1.3, size=(128, 128))
+    prior.denoise_with_tweedie(x, 0.1)
+    tracemalloc.start()
+    try:
+        prior.denoise_with_tweedie(x, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < prior.weights.size * x.size * 8
 
 
 def test_gmm_log_density_matches_direct_logsumexp():
