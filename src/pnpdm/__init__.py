@@ -11,14 +11,13 @@ from pnpdm.images import ImageFormatError, as_image, normalize, read_image, writ
 from pnpdm.operators import SvdOperator, block_average_downsample, identity_operator
 from pnpdm.likelihood import LikelihoodModel, conditional_moments, data_fidelity, sample_conditional
 from pnpdm.prior_step import SdeConfig, prior_refine, sigma_grid
-from pnpdm.sgs import AnnealSchedule, ChainState, RunConfig, initialize, rho_at, run_chain
+from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, rho_at, run_chain
 from pnpdm.analytic import GaussianPrior, GmmPrior, gaussian_posterior_oracle
 from pnpdm.metrics import bicubic_upsample, psnr, ssim
 from pnpdm.phantom import Layer, PhantomSpec, degrade, generate_phantom
 
 __all__ = [
     "AnnealSchedule",
-    "ChainState",
     "GaussianPrior",
     "GmmPrior",
     "ImageFormatError",

@@ -11,7 +11,8 @@ Wire format, little-endian throughout:
 * response: magic ``PNPD``, u32 frame-type=2, u32 height, u32 width, pixels
 * error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
 
-Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]).
+Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]);
+a frame holding a NaN or infinite pixel is malformed.
 ``read_frame`` is the one decoder, for servers and client alike.  A bridge
 instance is exclusive: strictly one request in flight.  Threads that share one
 instance take turns; each call holds a lock for its round trip.  A timeout or
@@ -126,8 +127,10 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
 def _read_pixels(stream: BinaryIO, h: int, w: int) -> np.ndarray:
     if h < 1 or w < 1 or h > MAX_DIM or w > MAX_DIM:
         raise BridgeFrameError(f"frame dimensions {h}x{w} out of range")
-    raw = _read_exact(stream, 4 * h * w)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w)
+    pixels = np.frombuffer(_read_exact(stream, 4 * h * w), dtype="<f4")
+    if not np.isfinite(pixels).all():
+        raise BridgeFrameError("non-finite pixel in frame")
+    return pixels.astype(np.float64).reshape(h, w)
 
 
 class _PipeReader:

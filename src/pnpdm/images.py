@@ -7,8 +7,8 @@ many small updates per pixel, and tests compare it to dense oracles at 1e-10.
 Two on-disk formats are supported:
 
 * native float format -- magic ``PNPI``, u32 height, u32 width, u32 reserved
-  (zero), then height*width little-endian f32 values row-major.  Round-trips
-  bit-exactly at 32-bit precision.
+  (zero), then height*width little-endian finite f32 values row-major.
+  Round-trips bit-exactly at 32-bit precision.
 * binary 8-bit portable graymap (``P5``) with maxval 255; values map linearly
   to [0, 1].  Lossy (1/255 quantization), meant for viewers.
 """
@@ -95,6 +95,10 @@ def _decode_float(raw: bytes) -> np.ndarray:
     if len(raw) < expected:
         raise ImageFormatError("truncated payload", len(raw))
     data = np.frombuffer(raw, dtype="<f4", count=h * w, offset=_FLOAT_HEADER.size)
+    finite = np.isfinite(data)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ImageFormatError("non-finite pixel", _FLOAT_HEADER.size + 4 * index)
     return data.astype(np.float64).reshape(h, w)
 
 

@@ -1,9 +1,11 @@
-"""Linear forward operators with orthogonal rows of equal norm.
+"""The block-averaging forward operator, whose rows are orthogonal and of
+equal norm.
 
-Every operator A here has A A^T = s^2 I for one scalar singular value s, so
-A^T A / s^2 projects onto the measured directions and A^T y / s^2 is the
-minimum-norm inverse.  Both maps are block-local reshapes, never dense matrix
-products, so they scale to 1024x1024 grids.
+A maps an image to the means of its f x f blocks, so A A^T = s^2 I with the
+one singular value s = 1/f; f = 1 is the identity.  A^T A / s^2 projects onto
+the measured (block-constant) directions and A^T y / s^2 is the minimum-norm
+inverse.  Both maps are block-local reshapes, never dense matrix products, so
+they scale to 1024x1024 grids.
 """
 
 from __future__ import annotations
@@ -14,14 +16,21 @@ from pnpdm.images import as_image
 
 
 class SvdOperator:
-    """Base class; subclasses implement the maps, the base owns the contract
-    A A^T = singular_value^2 I and the shape checks."""
+    """Average each f x f block of a (height, width) image to one output pixel.
 
-    def __init__(self, in_shape: tuple[int, int], out_shape: tuple[int, int],
-                 singular_value: float):
-        self.in_shape = in_shape
-        self.out_shape = out_shape
-        self.singular_value = float(singular_value)
+    Each row of A holds 1/f^2 on one block, so A A^T = singular_value^2 I
+    with singular_value = 1/f.
+    """
+
+    def __init__(self, factor: int, height: int, width: int):
+        if factor < 1:
+            raise ValueError(f"factor must be >= 1, got {factor}")
+        if height % factor or width % factor:
+            raise ValueError(f"factor {factor} must divide dims {height}x{width}")
+        self.factor = factor
+        self.in_shape = (height, width)
+        self.out_shape = (height // factor, width // factor)
+        self.singular_value = 1.0 / factor
 
     @property
     def n(self) -> int:
@@ -32,11 +41,21 @@ class SvdOperator:
         return self.out_shape[0] * self.out_shape[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        x = self._check_in(x)
+        f = self.factor
+        hb, wb = self.out_shape
+        return x.reshape(hb, f, wb, f).mean(axis=(1, 3))
 
     def add_adjoint(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """x += A^T y in place on a float64 image x; returns x."""
-        raise NotImplementedError
+        x = self._check_in(x)
+        y = self._check_out(y)
+        f = self.factor
+        hb, wb = self.out_shape
+        # splitting both axes is always a view, so this adds into x itself,
+        # broadcasting the small (hb, wb) array without a full-size temporary
+        x.reshape(hb, f, wb, f)[...] += (y / (f * f))[:, None, :, None]
+        return x
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.add_adjoint(np.zeros(self.in_shape), y)
@@ -58,44 +77,11 @@ class SvdOperator:
         return y
 
 
-class BlockAverageOperator(SvdOperator):
-    """Average each f x f block to one output pixel.
-
-    Each row of A holds 1/f^2 on one block, so A A^T = I / f^2 and s = 1/f;
-    the measured directions are the block-constant images.
-    """
-
-    def __init__(self, factor: int, height: int, width: int):
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        if height % factor or width % factor:
-            raise ValueError(f"factor {factor} must divide dims {height}x{width}")
-        super().__init__((height, width), (height // factor, width // factor),
-                         1.0 / factor)
-        self.factor = factor
-
-    def apply(self, x):
-        x = self._check_in(x)
-        f = self.factor
-        hb, wb = self.out_shape
-        return x.reshape(hb, f, wb, f).mean(axis=(1, 3))
-
-    def add_adjoint(self, x, y):
-        x = self._check_in(x)
-        y = self._check_out(y)
-        f = self.factor
-        hb, wb = self.out_shape
-        # splitting both axes is always a view, so this adds into x itself,
-        # broadcasting the small (hb, wb) array without a full-size temporary
-        x.reshape(hb, f, wb, f)[...] += (y / (f * f))[:, None, :, None]
-        return x
-
-
 def block_average_downsample(factor: int, height: int, width: int) -> SvdOperator:
     """Block-averaging downsampler mapping (height, width) to (height/f, width/f)."""
-    return BlockAverageOperator(factor, height, width)
+    return SvdOperator(factor, height, width)
 
 
 def identity_operator(height: int, width: int) -> SvdOperator:
     """Identity forward model (pure denoising): block averaging with f = 1."""
-    return BlockAverageOperator(1, height, width)
+    return SvdOperator(1, height, width)

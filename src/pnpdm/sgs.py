@@ -4,7 +4,8 @@ Alternates the exact Gaussian data-consistency draw with the reverse-diffusion
 prior refinement while the coupling width rho decays exponentially down to a
 floor.  Once the floor engages the chain samples at fixed coupling; posterior
 samples are collected from that stationary phase and averaged into the final
-reconstruction.
+reconstruction.  A chain is an iterate and an rng; each step returns a new
+iterate and never writes into the old one, so samples need no copies.
 """
 
 from __future__ import annotations
@@ -52,13 +53,12 @@ def rho_at(schedule: AnnealSchedule, q: int) -> float:
 class RunConfig:
     """Chain length and collection policy.
 
-    The defaults anneal for 34 iterations (where the default schedule hits its
-    floor) then collect 100 stationary samples.  Samples taken during
-    annealing are not draws from the target posterior, hence the burn-in.
+    Samples taken during annealing are not draws from the target posterior,
+    hence the burn-in (``AnnealSchedule.clamp_iteration`` or more).
     """
 
-    iterations: int = 134
-    burn_in: int = 34
+    iterations: int
+    burn_in: int
     collect_every: int = 1
     seed: int = 0
 
@@ -69,15 +69,8 @@ class RunConfig:
             )
         if self.collect_every < 1:
             raise ValueError(f"collect_every must be >= 1, got {self.collect_every}")
-
-
-@dataclass
-class ChainState:
-    """Mutable per-chain state; each chain owns its rng stream."""
-
-    x: np.ndarray
-    q: int
-    rng: np.random.Generator
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def initialize(model: LikelihoodModel, mode: str = "adjoint-upsample",
@@ -97,14 +90,11 @@ def initialize(model: LikelihoodModel, mode: str = "adjoint-upsample",
     raise ValueError(f"unknown init mode {mode!r}; expected one of {INIT_MODES}")
 
 
-def sgs_step(state: ChainState, model: LikelihoodModel, denoise: Denoiser,
-             schedule: AnnealSchedule, sde: SdeConfig) -> ChainState:
-    """One likelihood + prior alternation at the current coupling."""
-    rho = rho_at(schedule, state.q)
-    z = sample_conditional(model, state.x, rho, state.rng)
-    state.x = prior_refine(z, rho, denoise, sde, state.rng)
-    state.q += 1
-    return state
+def sgs_step(x: np.ndarray, rho: float, model: LikelihoodModel, denoise: Denoiser,
+             sde: SdeConfig, rng: np.random.Generator) -> np.ndarray:
+    """One likelihood + prior alternation at coupling rho; x is not written."""
+    z = sample_conditional(model, x, rho, rng)
+    return prior_refine(z, rho, denoise, sde, rng)
 
 
 def run_chain(model: LikelihoodModel, denoise: Denoiser,
@@ -115,20 +105,20 @@ def run_chain(model: LikelihoodModel, denoise: Denoiser,
 
     ``callback(q, rho, x)`` is invoked after every iteration when given.
     """
-    x_init = as_image(x_init)
-    if x_init.shape != model.operator.in_shape:
+    x = as_image(x_init)
+    if x.shape != model.operator.in_shape:
         raise ValueError(
-            f"x_init shape {x_init.shape} != problem shape {model.operator.in_shape}"
+            f"x_init shape {x.shape} != problem shape {model.operator.in_shape}"
         )
-    state = ChainState(x=x_init.copy(), q=0,
-                       rng=np.random.default_rng(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     samples: list[np.ndarray] = []
     for q in range(cfg.iterations):
-        sgs_step(state, model, denoise, schedule, sde)
+        rho = rho_at(schedule, q)
+        x = sgs_step(x, rho, model, denoise, sde, rng)
         if callback is not None:
-            callback(q, rho_at(schedule, q), state.x)
+            callback(q, rho, x)
         if q >= cfg.burn_in and (q - cfg.burn_in) % cfg.collect_every == 0:
-            samples.append(state.x.copy())
+            samples.append(x)
     return samples, sample_mean(samples)
 
 

@@ -1,10 +1,13 @@
 """The benchmark's timing hooks still resolve against the program.
 
 ``bench/probe.py`` wraps pnpdm functions by name; a refactor that renames one
-breaks ``--trace 1`` and the ``setup_s`` probe.  Both run in a subprocess,
-because installing the hooks patches module attributes for good.
+breaks ``--trace 1`` and the ``setup_s`` probe, and one that changes what a
+wrapped function returns or how often it runs skews the per-layer numbers.
+The probe runs in a subprocess, because installing the hooks patches module
+attributes for good.
 """
 
+import json
 import os
 import shlex
 import subprocess
@@ -61,3 +64,38 @@ output = {tmp_path / 'rec.pnpi'}
     result = _run([str(PROBE), "setup", "--", "--threads", "2", "reconstruct", str(cfg)])
     assert result.returncode == 0, result.stderr
     assert any(line.startswith("ready ") for line in result.stdout.splitlines())
+
+
+def test_probe_trace_counts_steps_and_samples(tmp_path):
+    write_image(tmp_path / "lr.pnpi", np.random.default_rng(1).random((8, 8)))
+    cfg = tmp_path / "rec.cfg"
+    cfg.write_text(
+        f"""
+[measurement]
+factor = 4
+sigma_y = 0.03
+
+[run]
+iterations = 5
+burn_in = 2
+chains = 2
+
+[prior]
+kind = gmm
+
+[io]
+input = {tmp_path / 'lr.pnpi'}
+output = {tmp_path / 'rec.pnpi'}
+""",
+        encoding="utf-8",
+    )
+    spans_path = tmp_path / "spans.json"
+    result = _run([str(PROBE), "trace", str(spans_path), "--",
+                   "--threads", "2", "reconstruct", str(cfg)])
+    assert result.returncode == 0, result.stderr
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    names = [span["name"] for span in spans]
+    assert names.count("sgs.sgs_step") == 10
+    assert names.count("prior_step.prior_refine") == 10
+    chains = [span for span in spans if span["name"] == "sgs.run_chain"]
+    assert [span["samples"] for span in chains] == [3, 3]

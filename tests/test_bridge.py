@@ -157,7 +157,14 @@ _REPLY_PRELUDE = (
     ("os.write(1, b'PNPD' + (3).to_bytes(4, 'little') + (2 << 20).to_bytes(4, 'little'))\n"
      "sys.stdin.buffer.read()\n", BridgeFrameError),
     ("os.write(1, b'PNPD' + (2).to_bytes(4, 'little'))\n", BridgeProcessError),
-], ids=["response-in-pieces", "request-frame", "oversized-error", "exit-after-prefix"])
+    ("img[1, 2] = float('inf')\n"
+     "os.write(1, encode_response(img))\n"
+     "sys.stdin.buffer.read()\n", BridgeFrameError),
+    ("while img is not None:\n"
+     "    os.write(1, encode_response(img * float('nan')))\n"
+     "    img = (read_frame(sys.stdin.buffer) or (None, None))[1]\n", BridgeFrameError),
+], ids=["response-in-pieces", "request-frame", "oversized-error", "exit-after-prefix",
+        "inf-response", "nan-replies"])
 def test_client_decodes_replies(reply, error):
     img = np.random.default_rng(4).random((3, 5))
     config = BridgeConfig(command=_server(_REPLY_PRELUDE + reply), timeout=20.0)

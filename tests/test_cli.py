@@ -241,10 +241,11 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "kind = gaussian", "kind = gaussian\nmeans = 0.1,0.9"),
     ("simulate", "sigma_y = 0.03", "sigma_y = -0.1"),
     ("simulate", "seed = 3", "seed = -1"),
+    ("reconstruct", "seed = 1", "seed = -1"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
         "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-nan", "variance-nan",
         "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind",
-        "simulate-sigma_y-negative", "simulate-phantom-seed-negative"])
+        "simulate-sigma_y-negative", "simulate-phantom-seed-negative", "run-seed-negative"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))
@@ -253,6 +254,16 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg.write_text(text.replace(old, new), encoding="utf-8")
     assert main([command, str(cfg)]) == EXIT_USAGE
     assert "config error" in capsys.readouterr().err
+
+
+def test_reconstruct_non_finite_input_is_runtime_error(tmp_path, capsys):
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian")
+    lr = read_image(tmp_path / "lr.pnpi")
+    lr[3, 2] = np.nan
+    write_image(tmp_path / "lr.pnpi", lr)
+    assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
+    assert "non-finite pixel" in capsys.readouterr().err
+    assert not (tmp_path / "rec.pnpi").exists()
 
 
 def test_reconstruct_bridge_failure_exit_code(tmp_path):

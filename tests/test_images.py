@@ -114,6 +114,18 @@ def test_float_dimension_bounds(tmp_path):
         read_image(path)
 
 
+@pytest.mark.parametrize("bad,index", [(np.nan, 5), (-np.inf, 9)])
+def test_float_non_finite_pixel_is_rejected(tmp_path, bad, index):
+    img = np.zeros((4, 4))
+    img.flat[index] = bad
+    img.flat[-1] = np.inf  # only the first defect is reported
+    path = tmp_path / "n.pnpi"
+    write_image(path, img)
+    with pytest.raises(ImageFormatError) as exc:
+        read_image(path)
+    assert exc.value.offset == 16 + 4 * index
+
+
 def test_pgm_bad_maxval(tmp_path):
     path = tmp_path / "m.pgm"
     path.write_bytes(b"P5\n1 1\n70000\n\x00\x00")

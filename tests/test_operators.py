@@ -5,7 +5,7 @@ import pytest
 
 from pnpdm.analytic import dense_matrix
 from pnpdm.operators import (
-    BlockAverageOperator,
+    SvdOperator,
     block_average_downsample,
     identity_operator,
 )
@@ -20,7 +20,7 @@ def test_identity_round_trip():
     x = _random_image((3, 5))
     assert op.singular_value == 1.0
     # identity_operator is f = 1 block averaging, bit-exact on both maps
-    assert isinstance(op, BlockAverageOperator) and op.factor == 1
+    assert isinstance(op, SvdOperator) and op.factor == 1
     assert op.apply(x).tobytes() == x.tobytes()
     assert op.adjoint(x).tobytes() == x.tobytes()
 
@@ -92,9 +92,9 @@ def test_pseudo_inverse_is_right_inverse():
 
 def test_factor_validation():
     with pytest.raises(ValueError):
-        BlockAverageOperator(0, 4, 4)
+        SvdOperator(0, 4, 4)
     with pytest.raises(ValueError):
-        BlockAverageOperator(3, 4, 4)
+        SvdOperator(3, 4, 4)
 
 
 def test_shape_validation():

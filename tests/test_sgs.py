@@ -50,7 +50,9 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(iterations=10, burn_in=-1)
     with pytest.raises(ValueError):
-        RunConfig(collect_every=0)
+        RunConfig(iterations=10, burn_in=0, collect_every=0)
+    with pytest.raises(ValueError):
+        RunConfig(iterations=10, burn_in=0, seed=-1)
 
 
 def _tiny_model(seed=0):
@@ -102,6 +104,24 @@ def test_run_chain_callback_sees_schedule():
               cfg, initialize(model), callback=lambda q, rho, x: seen.append((q, rho)))
     assert [q for q, _ in seen] == list(range(6))
     assert all(rho == rho_at(sched, q) for q, rho in seen)
+
+
+def test_run_chain_keeps_iterates_without_copying_inputs():
+    model = _tiny_model(7)
+    prior = GaussianPrior(mean=0.5, variance=0.04)
+    cfg = RunConfig(iterations=7, burn_in=2, collect_every=2, seed=3)
+    x0 = initialize(model)
+    before = x0.tobytes()
+    copies = {}
+    samples, _ = run_chain(model, prior.denoise, AnnealSchedule(rho0=1.0, rho_min=0.2),
+                           SdeConfig(num_steps=4, sigma_floor=0.02), cfg, x0,
+                           callback=lambda q, rho, x: copies.setdefault(q, x.copy()))
+    assert x0.tobytes() == before
+    assert len(samples) == 3  # q = 2, 4, 6
+    for q, sample in zip((2, 4, 6), samples):
+        assert sample.tobytes() == copies[q].tobytes()
+    assert len({id(s) for s in samples}) == 3
+    assert all(s is not x0 for s in samples)
 
 
 def test_run_chain_rejects_wrong_init_shape():
