@@ -7,8 +7,8 @@ reverse-diffusion prior step driven by a pluggable denoiser, analytic
 synthetic speckled-phantom benchmark, and PSNR/SSIM evaluation.
 """
 
-from pnpdm.images import ImageFormatError, as_image, normalize, read_image, write_image
-from pnpdm.operators import SvdOperator, block_average_downsample, identity_operator
+from pnpdm.images import ImageFormatError, as_image, read_image, write_image
+from pnpdm.operators import SvdOperator, block_average_downsample
 from pnpdm.likelihood import LikelihoodModel, conditional_moments, data_fidelity, sample_conditional
 from pnpdm.prior_step import SdeConfig, prior_refine, sigma_grid
 from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, rho_at, run_chain
@@ -35,9 +35,7 @@ __all__ = [
     "degrade",
     "gaussian_posterior_oracle",
     "generate_phantom",
-    "identity_operator",
     "initialize",
-    "normalize",
     "prior_refine",
     "psnr",
     "read_image",

@@ -6,13 +6,13 @@ in without binding this package to a deep-learning stack.
 
 Wire format, little-endian throughout:
 
-* request:  magic ``PNPD``, u32 frame-type=1, f64 sigma, u32 height,
-  u32 width, then height*width f32 pixels row-major
+* request:  magic ``PNPD``, u32 frame-type=1, f64 sigma (finite, > 0),
+  u32 height, u32 width, then height*width f32 pixels row-major
 * response: magic ``PNPD``, u32 frame-type=2, u32 height, u32 width, pixels
 * error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
 
 Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]);
-a frame holding a NaN or infinite pixel is malformed.
+a frame holding a NaN or infinite pixel, or a bad sigma, is malformed.
 ``read_frame`` is the one decoder, for servers and client alike.  A bridge
 instance is exclusive: strictly one request in flight.  Threads that share one
 instance take turns; each call holds a lock for its round trip.  A timeout or
@@ -104,6 +104,8 @@ def read_frame(stream: BinaryIO):
     if frame_type == FRAME_REQUEST:
         head = _read_exact(stream, 8 + _DIMS.size)
         (sigma,) = struct.unpack_from("<d", head)
+        if not 0.0 < sigma < float("inf"):
+            raise BridgeFrameError(f"request sigma {sigma} is not finite and > 0")
         h, w = _DIMS.unpack_from(head, 8)
         return FRAME_REQUEST, _read_pixels(stream, h, w), sigma
     if frame_type == FRAME_RESPONSE:

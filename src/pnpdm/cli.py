@@ -10,7 +10,7 @@ Each subcommand reads its config against one schema, ``{section: {key:
 parser}}`` (``SIMULATE_SCHEMA``, ``RECONSTRUCT_SCHEMA``), and builds each
 object from its own section; a key left unset takes the default of the
 dataclass it feeds, except for the few defaults that belong to the CLI
-(measurement, prior parameters, phantom size, run length, init, chains).
+(measurement, prior parameters, phantom size, run length, chains).
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime/numeric error,
 3 bridge/external failure.
@@ -24,8 +24,6 @@ import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from pnpdm.analytic import GaussianPrior, GmmPrior
 from pnpdm.bridge import BridgeConfig, BridgeDenoiser, BridgeError
@@ -65,7 +63,7 @@ RECONSTRUCT_SCHEMA = {
     "sde": {"steps": int, "curvature": finite_float, "sigma_floor": finite_float,
             "stochastic": boolean},
     "run": {"iterations": int, "burn_in": int, "collect_every": int, "chains": int,
-            "seed": int, "init": str},
+            "seed": int},
     "prior": {"kind": str, **{k: p for keys in PRIOR_KEYS.values() for k, p in keys.items()}},
     "io": {"input": str, "output": str, "log": str, "samples_dir": str},
 }
@@ -199,13 +197,12 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
     chains = run.pop("chains", 1)
     if chains < 1:
         raise ConfigError(f"run.chains must be >= 1, got {chains}")
-    init = run.pop("init", "adjoint-upsample")
     if seed_override is not None:
         run["seed"] = seed_override
     burn_in = schedule.clamp_iteration()
     run_cfg = _build("run", RunConfig, **{"iterations": burn_in + 100, "burn_in": burn_in,
                                           **run})
-    x_init = _build("run", initialize, model, init, np.random.default_rng(run_cfg.seed))
+    x_init = initialize(model)
 
     denoise, close = _build_denoiser(cfg["prior"])
     log_lines: list[str] = []

@@ -46,16 +46,6 @@ def as_image(data) -> np.ndarray:
     return img
 
 
-def normalize(img) -> np.ndarray:
-    """Affinely rescale to [0, 1]; a constant image maps to all zeros."""
-    img = as_image(img)
-    lo = img.min()
-    hi = img.max()
-    if hi == lo:
-        return np.zeros_like(img)
-    return (img - lo) / (hi - lo)
-
-
 def write_image(path, img) -> None:
     """Write ``img`` to ``path``; ``.pgm`` selects the graymap format."""
     img = as_image(img)

@@ -81,7 +81,3 @@ def block_average_downsample(factor: int, height: int, width: int) -> SvdOperato
     """Block-averaging downsampler mapping (height, width) to (height/f, width/f)."""
     return SvdOperator(factor, height, width)
 
-
-def identity_operator(height: int, width: int) -> SvdOperator:
-    """Identity forward model (pure denoising): block averaging with f = 1."""
-    return SvdOperator(1, height, width)

@@ -31,6 +31,11 @@ priors this transition is exact, so the step count controls cost rather than
 bias; a plain first-order noise term would need far finer grids to meet the
 statistical tolerances.
 
+With ``stochastic = False`` each step is instead the noiseless probability-flow
+(DDIM) step x <- x + (1 - sigma'/sigma) * (denoise(x, sigma) - x) (Song et al.
+2021): a map of the rho-smoothed prior onto the prior, one z to one x, and not
+a draw of x | z, so a split-Gibbs chain built on it is not exact.
+
 The last grid transition is a deterministic denoiser evaluation (posterior
 mean jump to sigma = 0), which avoids injecting noise where the
 discretization is unstable near sigma = 0.
@@ -60,7 +65,7 @@ class SdeConfig:
     num_steps: Euler-Maruyama steps per prior refinement.
     sigma_floor: smallest integration noise level before the final jump.
     curvature: power-law exponent of the sigma grid (EDM-standard 7).
-    stochastic: False selects the zero-noise probability-flow variant.
+    stochastic: False selects the probability-flow map, which draws no x | z.
     """
 
     num_steps: int = 20
@@ -112,7 +117,7 @@ def _noise_scale(tweedie: np.ndarray | float, base: float, slope: float,
 
 def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
                  rng: np.random.Generator) -> np.ndarray:
-    """Integrate the reverse SDE from noise level rho, starting at z.
+    """Integrate the reverse SDE (or probability flow) from rho, starting at z.
 
     The iterate x starts as a copy of z.  The steps write only into x and
     three full-size buffers allocated once per call: the clamped step, the
@@ -137,7 +142,7 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
         else:
             estimate = denoise(x, sigma)
         _clipped(estimate, step)
-        shrink = 1.0 - sigma_next**2 / sigma**2
+        shrink = 1.0 - (sigma_next**2 / sigma**2 if cfg.stochastic else sigma_next / sigma)
         if cfg.stochastic:
             if exact is None:
                 # (clip(denoise(x + eps)) - clip(denoise(x))) / eps, clipped below at 0

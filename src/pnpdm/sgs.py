@@ -19,9 +19,6 @@ from pnpdm.images import as_image
 from pnpdm.likelihood import LikelihoodModel, sample_conditional
 from pnpdm.prior_step import Denoiser, SdeConfig, prior_refine
 
-INIT_MODES = ("adjoint-upsample", "constant-half", "random-normal")
-
-
 @dataclass(frozen=True)
 class AnnealSchedule:
     """Exponential coupling decay rho_q = alpha^q rho0, clamped at rho_min."""
@@ -73,21 +70,9 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def initialize(model: LikelihoodModel, mode: str = "adjoint-upsample",
-               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Initial iterate at the reconstruction resolution."""
-    op = model.operator
-    if mode == "adjoint-upsample":
-        # minimum-norm backprojection; for block averaging this replicates
-        # each measured pixel across its block (equals f^2 A^T y)
-        return op.pseudo_inverse(model.measurement)
-    if mode == "constant-half":
-        return np.full(op.in_shape, 0.5)
-    if mode == "random-normal":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        return np.clip(0.5 + 0.25 * rng.standard_normal(op.in_shape), 0.0, 1.0)
-    raise ValueError(f"unknown init mode {mode!r}; expected one of {INIT_MODES}")
+def initialize(model: LikelihoodModel) -> np.ndarray:
+    """Minimum-norm backprojection A^T y / s^2: each pixel of y across its block."""
+    return model.operator.pseudo_inverse(model.measurement)
 
 
 def sgs_step(x: np.ndarray, rho: float, model: LikelihoodModel, denoise: Denoiser,

@@ -27,7 +27,7 @@ from pnpdm.bridge import (
 )
 from pnpdm.likelihood import LikelihoodModel, conditional_moments, sample_conditional
 from pnpdm.metrics import bicubic_upsample, psnr, ssim
-from pnpdm.operators import block_average_downsample, identity_operator
+from pnpdm.operators import block_average_downsample
 from pnpdm.phantom import Layer, PhantomSpec, degrade, generate_phantom
 from pnpdm.prior_step import SdeConfig
 from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, rho_at, run_chain
@@ -59,8 +59,8 @@ def criterion(name):
 
 # (label, operator factory, sigma_y, prior variance scale, rho_min, samples)
 _A1_CONFIGS = [
-    ("identity n=4 sy=0.2", lambda: identity_operator(2, 2), 0.2, 0.002, 0.05, 12000),
-    ("identity n=16 sy=0.2", lambda: identity_operator(4, 4), 0.2, 0.002, 0.05, 12000),
+    ("identity n=4 sy=0.2", lambda: block_average_downsample(1, 2, 2), 0.2, 0.002, 0.05, 12000),
+    ("identity n=16 sy=0.2", lambda: block_average_downsample(1, 4, 4), 0.2, 0.002, 0.05, 12000),
     ("block f2 n=64 sy=0.05", lambda: block_average_downsample(2, 8, 8), 0.05, 0.0005,
      0.02, 15000),
     ("block f4 n=64 sy=0.05", lambda: block_average_downsample(4, 8, 8), 0.05, 0.002,
@@ -123,8 +123,8 @@ def test_a2_conditional_matches_dense_gaussian():
     n <= 256, and sample_conditional reproduces those moments empirically."""
     start = time.monotonic()
     ops = [
-        identity_operator(2, 2),
-        identity_operator(16, 16),
+        block_average_downsample(1, 2, 2),
+        block_average_downsample(1, 16, 16),
         block_average_downsample(2, 8, 8),
         block_average_downsample(2, 16, 16),
         block_average_downsample(4, 8, 8),

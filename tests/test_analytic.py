@@ -15,7 +15,7 @@ from pnpdm.analytic import (
     gaussian_posterior_oracle,
 )
 from pnpdm.likelihood import LikelihoodModel
-from pnpdm.operators import block_average_downsample, identity_operator
+from pnpdm.operators import block_average_downsample
 
 
 def test_gaussian_denoise_closed_form():
@@ -220,7 +220,7 @@ def test_gmm_sample_moments():
 
 
 @pytest.mark.parametrize("op", [
-    identity_operator(3, 3),
+    block_average_downsample(1, 3, 3),
     block_average_downsample(2, 4, 4),
 ])
 def test_gaussian_posterior_oracle_matches_direct_formula(op):
@@ -238,7 +238,7 @@ def test_gaussian_posterior_oracle_matches_direct_formula(op):
 
 
 def test_dense_oracle_size_guard():
-    op = identity_operator(70, 70)
+    op = block_average_downsample(1, 70, 70)
     model = LikelihoodModel(operator=op, noise_sigma=0.1,
                             measurement=np.zeros((70, 70)))
     with pytest.raises(ValueError):

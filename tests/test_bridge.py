@@ -215,3 +215,16 @@ def test_helper_rejects_non_request_frame():
     kind, message = read_frame(io.BytesIO(proc.stdout))
     assert kind == FRAME_ERROR
     assert "request" in message
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1, 0.0])
+def test_request_sigma_must_be_finite_and_positive(sigma):
+    request = encode_request(np.full((2, 2), 0.5), sigma)
+    with pytest.raises(BridgeFrameError, match="sigma"):
+        read_frame(io.BytesIO(request))
+    proc = subprocess.run(HELPER + ["--prior", "gaussian"], input=request,
+                          stdout=subprocess.PIPE, timeout=30)
+    assert proc.returncode == 1
+    kind, message = read_frame(io.BytesIO(proc.stdout))
+    assert kind == FRAME_ERROR
+    assert "sigma" in message

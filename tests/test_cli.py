@@ -161,23 +161,30 @@ def test_reconstruct_gmm_and_multi_chain(tmp_path):
     assert read_image(tmp_path / "rec.pnpi").shape == (16, 16)
 
 
-def test_reconstruct_bridge_multi_chain_threads(tmp_path):
-    """Two chains sharing one bridge under --threads 2 finish, and write the
-    same bytes as the serial run (run in a subprocess so a hang fails)."""
-    helper = shlex.join([sys.executable, "-m", "pnpdm.bridge_helper", "--prior",
-                         "gaussian", "--mean", "0.45", "--variance", "0.09"])
-    cfg = _reconstruct_config(tmp_path, f"kind = bridge\ncommand = {helper}",
-                              run_lines="chains = 2", size=32)
+_BRIDGE_HELPER = shlex.join([sys.executable, "-m", "pnpdm.bridge_helper", "--prior",
+                             "gaussian", "--mean", "0.45", "--variance", "0.09"])
+
+
+@pytest.mark.parametrize("prior_lines,chains", [
+    (f"kind = bridge\ncommand = {_BRIDGE_HELPER}", 2),
+    ("kind = gmm\nmeans = 0.2,0.7\nweights = 1,1\nvariances = 0.002,0.002", 3),
+], ids=["bridge", "gmm"])
+def test_reconstruct_bridge_multi_chain_threads(tmp_path, prior_lines, chains):
+    """Chains sharing one bridge, or one GMM prior with its per-thread
+    workspace, finish under every thread count up to the chain count and
+    write the same bytes as the serial run (run in a subprocess so a hang
+    fails)."""
+    cfg = _reconstruct_config(tmp_path, prior_lines, run_lines=f"chains = {chains}", size=32)
     src = str(Path(pnpdm.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = []
-    for threads in ("1", "2"):
-        subprocess.run([sys.executable, "-m", "pnpdm.cli", "--threads", threads,
+    for threads in range(1, chains + 1):
+        subprocess.run([sys.executable, "-m", "pnpdm.cli", "--threads", str(threads),
                         "reconstruct", str(cfg)], env=env, timeout=60, check=True,
                        capture_output=True)
         outputs.append((tmp_path / "rec.pnpi").read_bytes())
-    assert outputs[0] == outputs[1]
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 def test_reconstruct_log_only_when_requested(tmp_path, monkeypatch):
@@ -225,7 +232,7 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "sigma_y = 0.05", "sigma_y = 0"),
     ("reconstruct", "rho_min = 0.2", "rho_min = 2.0"),
     ("reconstruct", "steps = 6", "steps = 0"),
-    ("reconstruct", "seed = 1", "seed = 1\ninit = bogus"),
+    ("reconstruct", "seed = 1", "seed = 1\ninit = adjoint-upsample"),
     ("reconstruct", "sigma_floor = 0.02", "sigma_floor = 0.2"),
     ("simulate", "factor = 4", "factor = 3"),
     ("simulate", "width = 32\nseed = 3\nlayer1 = 8,0,0,0.75\nlayer2 = 20,0,0,0.3",
@@ -253,7 +260,11 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     assert text.count(old) == 1
     cfg.write_text(text.replace(old, new), encoding="utf-8")
     assert main([command, str(cfg)]) == EXIT_USAGE
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "\ninit = " in new:
+        # every chain starts at the backprojection; no key selects another start
+        assert "unknown key run.init" in err
 
 
 def test_reconstruct_non_finite_input_is_runtime_error(tmp_path, capsys):

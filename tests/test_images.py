@@ -9,7 +9,6 @@ from pnpdm.images import (
     FLOAT_MAGIC,
     ImageFormatError,
     as_image,
-    normalize,
     read_image,
     write_image,
 )
@@ -25,20 +24,6 @@ def test_as_image_coerces_to_float64():
 def test_as_image_rejects_non_2d(bad):
     with pytest.raises(ValueError):
         as_image(bad)
-
-
-def test_normalize_range_and_constant():
-    img = np.array([[1.0, 3.0], [2.0, 5.0]])
-    out = normalize(img)
-    assert out.min() == 0.0 and out.max() == 1.0
-    assert np.array_equal(normalize(np.full((3, 3), 7.0)), np.zeros((3, 3)))
-
-
-def test_normalize_is_idempotent_on_nonconstant():
-    rng = np.random.default_rng(3)
-    img = rng.random((5, 7))
-    once = normalize(img)
-    assert np.allclose(normalize(once), once)
 
 
 def test_float_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from pnpdm.likelihood import (
     data_fidelity,
     sample_conditional,
 )
-from pnpdm.operators import block_average_downsample, identity_operator
+from pnpdm.operators import block_average_downsample
 
 
 def _model(op, sigma_y=0.1, seed=0):
@@ -30,7 +30,7 @@ def _dense_moments(model, x, rho):
 
 
 @pytest.mark.parametrize("op", [
-    identity_operator(3, 3),
+    block_average_downsample(1, 3, 3),
     block_average_downsample(2, 4, 4),
     block_average_downsample(4, 8, 8),
 ])
@@ -64,7 +64,7 @@ def test_sample_conditional_monte_carlo_moments():
 
 
 def test_sample_conditional_deterministic_given_seed():
-    op = identity_operator(4, 4)
+    op = block_average_downsample(1, 4, 4)
     model = _model(op)
     x = np.full(op.in_shape, 0.5)
     a = sample_conditional(model, x, 0.5, np.random.default_rng(7))
@@ -73,7 +73,7 @@ def test_sample_conditional_deterministic_given_seed():
 
 
 def test_data_fidelity_manual():
-    op = identity_operator(2, 2)
+    op = block_average_downsample(1, 2, 2)
     y = np.array([[0.0, 1.0], [0.5, 0.25]])
     model = LikelihoodModel(operator=op, noise_sigma=0.5, measurement=y)
     x = np.zeros((2, 2))
@@ -95,7 +95,7 @@ def test_spectral_precision_values():
 
 
 def test_validation():
-    op = identity_operator(2, 2)
+    op = block_average_downsample(1, 2, 2)
     with pytest.raises(ValueError):
         LikelihoodModel(operator=op, noise_sigma=0.0, measurement=np.zeros((2, 2)))
     with pytest.raises(ValueError):

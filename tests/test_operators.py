@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from pnpdm.analytic import dense_matrix
-from pnpdm.operators import (
-    SvdOperator,
-    block_average_downsample,
-    identity_operator,
-)
+from pnpdm.operators import SvdOperator, block_average_downsample
 
 
 def _random_image(shape, seed=0):
@@ -16,11 +12,11 @@ def _random_image(shape, seed=0):
 
 
 def test_identity_round_trip():
-    op = identity_operator(3, 5)
+    op = block_average_downsample(1, 3, 5)
     x = _random_image((3, 5))
     assert op.singular_value == 1.0
-    # identity_operator is f = 1 block averaging, bit-exact on both maps
-    assert isinstance(op, SvdOperator) and op.factor == 1
+    # f = 1 block averaging is the identity, bit-exact on both maps
+    assert isinstance(op, SvdOperator)
     assert op.apply(x).tobytes() == x.tobytes()
     assert op.adjoint(x).tobytes() == x.tobytes()
 
@@ -37,7 +33,7 @@ def test_block_average_matches_manual_mean(f):
 
 
 @pytest.mark.parametrize("op", [
-    identity_operator(4, 4),
+    block_average_downsample(1, 4, 4),
     block_average_downsample(2, 6, 4),
     block_average_downsample(4, 8, 8),
 ])

@@ -95,6 +95,22 @@ def test_refine_deterministic_variant_is_reproducible_and_noiseless():
     assert np.ptp(out) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_deterministic_variant_maps_smoothed_prior_onto_prior(seed):
+    """The probability flow carries z ~ N(m, C + rho^2) to x ~ N(m, C).
+
+    The reverse SDE's drift coefficient with the noise dropped would leave
+    the output variance about 80 % short of C at any step count.
+    """
+    c, rho = 0.04, 0.4
+    prior = GaussianPrior(mean=0.5, variance=c)
+    rng = np.random.default_rng(seed)
+    z = 0.5 + np.sqrt(c + rho**2) * rng.standard_normal((256, 256))
+    x = prior_refine(z, rho, prior.denoise,
+                     SdeConfig(num_steps=50, sigma_floor=0.01, stochastic=False), rng)
+    assert abs(x.var() / c - 1.0) < 0.06
+
+
 def test_refine_stochastic_depends_on_rng():
     prior = GaussianPrior(mean=0.5, variance=0.04)
     cfg = SdeConfig(num_steps=10, sigma_floor=0.02)

@@ -5,10 +5,9 @@ import pytest
 
 from pnpdm.analytic import GaussianPrior
 from pnpdm.likelihood import LikelihoodModel
-from pnpdm.operators import block_average_downsample, identity_operator
+from pnpdm.operators import block_average_downsample
 from pnpdm.prior_step import SdeConfig
 from pnpdm.sgs import (
-    INIT_MODES,
     AnnealSchedule,
     RunConfig,
     initialize,
@@ -62,18 +61,12 @@ def _tiny_model(seed=0):
     return LikelihoodModel(operator=op, noise_sigma=0.1, measurement=y)
 
 
-def test_initialize_modes():
+def test_initialize_is_backprojection():
     model = _tiny_model()
-    adj = initialize(model, "adjoint-upsample")
+    x0 = initialize(model)
     # minimum-norm backprojection of block averaging replicates each pixel
-    assert np.allclose(adj, np.repeat(np.repeat(model.measurement, 2, 0), 2, 1))
-    assert np.array_equal(initialize(model, "constant-half"), np.full((8, 8), 0.5))
-    rnd = initialize(model, "random-normal", np.random.default_rng(3))
-    assert rnd.shape == (8, 8)
-    assert rnd.min() >= 0.0 and rnd.max() <= 1.0
-    with pytest.raises(ValueError):
-        initialize(model, "nope")
-    assert "adjoint-upsample" in INIT_MODES
+    assert np.array_equal(x0, np.repeat(np.repeat(model.measurement, 2, 0), 2, 1))
+    assert np.allclose(model.operator.apply(x0), model.measurement)
 
 
 def test_run_chain_sample_count_and_determinism():
@@ -134,7 +127,7 @@ def test_run_chain_rejects_wrong_init_shape():
 
 def test_identity_chain_tracks_measurement():
     """Pure denoising with a tight prior should land near the posterior mean."""
-    op = identity_operator(6, 6)
+    op = block_average_downsample(1, 6, 6)
     truth = np.full((6, 6), 0.7)
     rng = np.random.default_rng(0)
     y = truth + 0.05 * rng.standard_normal((6, 6))
