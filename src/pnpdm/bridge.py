@@ -17,7 +17,8 @@ a frame holding a NaN or infinite pixel, or a bad sigma, is malformed.
 instance is exclusive: strictly one request in flight.  Threads that share one
 instance take turns; each call holds a lock for its round trip.  A timeout or
 a malformed reply leaves the stream out of step, so the client then kills the
-server process.
+server process.  Every failure, a command that cannot start included, raises
+a ``BridgeError``; nothing restarts a server that has gone.
 """
 
 from __future__ import annotations
@@ -156,7 +157,11 @@ class _PipeReader:
                 raise BridgeTimeoutError(f"no response within {self._timeout} s")
             chunk = os.read(fd, count - len(data))
             if not chunk:
-                code = self._proc.poll()
+                # stdout closes as the child exits, a moment before it can be reaped
+                try:
+                    code = self._proc.wait(timeout=max(self._deadline - time.monotonic(), 0.0))
+                except subprocess.TimeoutExpired:
+                    code = None
                 raise BridgeProcessError(f"external process closed stdout (exit code {code})")
             data += chunk
         return data
@@ -166,7 +171,6 @@ class _PipeReader:
 class BridgeConfig:
     command: Sequence[str]
     timeout: float = 30.0
-    restart_on_crash: bool = False
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -185,11 +189,11 @@ class BridgeDenoiser:
         self._start()
 
     def _start(self):
-        self._proc = subprocess.Popen(
-            list(self.config.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-        )
+        try:
+            self._proc = subprocess.Popen(list(self.config.command),
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        except OSError as exc:
+            raise BridgeProcessError(f"cannot start external process: {exc}") from exc
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = as_image(x)
@@ -219,13 +223,9 @@ class BridgeDenoiser:
         return response
 
     def _ensure_alive(self):
-        if self._proc is not None and self._proc.poll() is None:
-            return
-        if self._proc is not None and self.config.restart_on_crash:
-            self._start()
-            return
-        code = None if self._proc is None else self._proc.returncode
-        raise BridgeProcessError(f"external process not running (exit code {code})")
+        if self._proc is None or self._proc.poll() is not None:
+            code = None if self._proc is None else self._proc.returncode
+            raise BridgeProcessError(f"external process not running (exit code {code})")
 
     def close(self):
         if self._proc is None:

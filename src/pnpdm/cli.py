@@ -54,7 +54,7 @@ SIMULATE_SCHEMA = {
 PRIOR_KEYS = {
     "gaussian": {"mean": finite_float, "variance": finite_float},
     "gmm": {"means": float_list, "weights": float_list, "variances": float_list},
-    "bridge": {"command": shlex.split, "timeout": finite_float, "restart_on_crash": boolean},
+    "bridge": {"command": shlex.split, "timeout": finite_float},
 }
 
 RECONSTRUCT_SCHEMA = {
@@ -187,8 +187,10 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
                    measurement=measurement)
 
     schedule = _build("schedule", AnnealSchedule, **cfg["schedule"])
-    sde = _build("sde", SdeConfig, **{"num_steps" if k == "steps" else k: v
-                                      for k, v in cfg["sde"].items()})
+    sde_keys = {"num_steps" if k == "steps" else k: v for k, v in cfg["sde"].items()}
+    if not sde_keys.pop("stochastic", True):  # read only so older configs keep working
+        raise ConfigError("sde.stochastic = false: the probability-flow refine is removed")
+    sde = _build("sde", SdeConfig, **sde_keys)
     # every prior step's grid starts at a rho >= rho_min: reject
     # sigma_floor >= rho_min before any chain starts
     _build("sde", sigma_grid, schedule.rho_min, sde)
@@ -285,6 +287,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

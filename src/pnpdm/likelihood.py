@@ -15,16 +15,13 @@ and gives the mean with eps = 0.  Both cost O(n).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from pnpdm.images import as_image
 from pnpdm.operators import SvdOperator
-
-# Floor on rho: 1/rho^2 must stay far from float64 overflow, and rho_min in
-# practice is 0.3, so this never binds on real runs.
-MIN_RHO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,9 +50,10 @@ def data_fidelity(model: LikelihoodModel, x: np.ndarray) -> float:
 
 
 def _check_rho(rho: float) -> float:
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    return max(float(rho), MIN_RHO)
+    # rho^2 must be a normal float for 1/rho^2 to be finite
+    if not (rho > 0 and math.isfinite(rho) and rho * rho >= sys.float_info.min):
+        raise ValueError(f"rho must be finite and > 0 with a finite 1/rho^2, got {rho}")
+    return float(rho)
 
 
 def _conditional_draw(model: LikelihoodModel, x: np.ndarray, rho: float,

@@ -31,11 +31,6 @@ priors this transition is exact, so the step count controls cost rather than
 bias; a plain first-order noise term would need far finer grids to meet the
 statistical tolerances.
 
-With ``stochastic = False`` each step is instead the noiseless probability-flow
-(DDIM) step x <- x + (1 - sigma'/sigma) * (denoise(x, sigma) - x) (Song et al.
-2021): a map of the rho-smoothed prior onto the prior, one z to one x, and not
-a draw of x | z, so a split-Gibbs chain built on it is not exact.
-
 The last grid transition is a deterministic denoiser evaluation (posterior
 mean jump to sigma = 0), which avoids injecting noise where the
 discretization is unstable near sigma = 0.
@@ -65,13 +60,11 @@ class SdeConfig:
     num_steps: Euler-Maruyama steps per prior refinement.
     sigma_floor: smallest integration noise level before the final jump.
     curvature: power-law exponent of the sigma grid (EDM-standard 7).
-    stochastic: False selects the probability-flow map, which draws no x | z.
     """
 
     num_steps: int = 20
     sigma_floor: float = 0.01
     curvature: float = 7.0
-    stochastic: bool = True
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -117,7 +110,7 @@ def _noise_scale(tweedie: np.ndarray | float, base: float, slope: float,
 
 def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
                  rng: np.random.Generator) -> np.ndarray:
-    """Integrate the reverse SDE (or probability flow) from rho, starting at z.
+    """Draw x | z: integrate the reverse SDE from rho, starting at z.
 
     The iterate x starts as a copy of z.  The steps write only into x and
     three full-size buffers allocated once per call: the clamped step, the
@@ -131,8 +124,7 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
     """
     z = np.asarray(z, dtype=np.float64)
     grid = sigma_grid(rho, cfg)
-    owner = getattr(denoise, "__self__", None)
-    exact = getattr(owner, "denoise_with_tweedie", None) if cfg.stochastic else None
+    exact = getattr(getattr(denoise, "__self__", None), "denoise_with_tweedie", None)
     x = z.copy()
     step, var, noise = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for sigma, sigma_next in zip(grid[:-1], grid[1:]):
@@ -140,22 +132,20 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
         if exact is not None:
             estimate, tweedie = exact(x, sigma)
         else:
-            estimate = denoise(x, sigma)
+            estimate, tweedie = denoise(x, sigma), None
         _clipped(estimate, step)
-        shrink = 1.0 - (sigma_next**2 / sigma**2 if cfg.stochastic else sigma_next / sigma)
-        if cfg.stochastic:
-            if exact is None:
-                # (clip(denoise(x + eps)) - clip(denoise(x))) / eps, clipped below at 0
-                tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=noise), sigma), var)
-                tweedie -= step
-                tweedie /= _PROBE_EPS
-                np.maximum(tweedie, 0.0, out=tweedie)
-            scale = _noise_scale(tweedie, sigma_next**2 * shrink, shrink**2 * sigma**2, var)
+        if tweedie is None:
+            # (clip(denoise(x + eps)) - clip(denoise(x))) / eps, clipped below at 0
+            tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=noise), sigma), var)
+            tweedie -= step
+            tweedie /= _PROBE_EPS
+            np.maximum(tweedie, 0.0, out=tweedie)
+        shrink = 1.0 - sigma_next**2 / sigma**2
+        scale = _noise_scale(tweedie, sigma_next**2 * shrink, shrink**2 * sigma**2, var)
         step -= x
         step *= shrink
         x += step
-        if cfg.stochastic:
-            rng.standard_normal(out=noise)
-            noise *= scale
-            x += noise
+        rng.standard_normal(out=noise)
+        noise *= scale
+        x += noise
     return np.clip(denoise(x, float(grid[-1])), _CLAMP_LO, _CLAMP_HI)

@@ -101,14 +101,19 @@ def test_dead_process_raises_process_error():
             bridge.denoise(np.zeros((2, 2)), 0.1)
 
 
-def test_restart_on_crash_recovers():
-    cfg = BridgeConfig(command=HELPER, timeout=20.0, restart_on_crash=True)
-    with BridgeDenoiser(cfg) as bridge:
-        bridge.denoise(np.zeros((2, 2)), 0.1)
-        bridge._proc.kill()
-        bridge._proc.wait()
-        out = bridge.denoise(np.full((2, 2), 0.25), 0.1)
-        assert np.max(np.abs(out - 0.25)) < 1e-6
+def test_dead_server_reports_its_exit_code():
+    """A server that exits before replying is reaped before the error names
+    its exit code, so the code is never reported as None."""
+    script = "import sys\nsys.stdin.buffer.read(8)\nsys.exit(7)\n"
+    for _ in range(10):
+        with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
+            with pytest.raises(BridgeProcessError, match=r"exit code 7\)"):
+                bridge.denoise(np.zeros((2, 2)), 0.1)
+
+
+def test_command_that_cannot_start_raises_process_error(tmp_path):
+    with pytest.raises(BridgeProcessError, match="cannot start"):
+        BridgeDenoiser(BridgeConfig(command=[str(tmp_path / "missing-denoiser")]))
 
 
 def test_garbage_output_raises_frame_error():

@@ -249,10 +249,14 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("simulate", "sigma_y = 0.03", "sigma_y = -0.1"),
     ("simulate", "seed = 3", "seed = -1"),
     ("reconstruct", "seed = 1", "seed = -1"),
+    ("reconstruct", "steps = 6", "steps = 6\nstochastic = false"),
+    ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = true"),
+    ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = false"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
         "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-nan", "variance-nan",
         "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind",
-        "simulate-sigma_y-negative", "simulate-phantom-seed-negative", "run-seed-negative"])
+        "simulate-sigma_y-negative", "simulate-phantom-seed-negative", "run-seed-negative",
+        "stochastic-false", "restart_on_crash-true", "restart_on_crash-false"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))
@@ -262,9 +266,29 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     assert main([command, str(cfg)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "config error" in err
-    if "\ninit = " in new:
-        # every chain starts at the backprojection; no key selects another start
-        assert "unknown key run.init" in err
+    # every chain starts at the backprojection, every prior step draws x | z
+    # and nothing restarts a bridge: no key selects another mode
+    for key in ("unknown key run.init", "sde.stochastic", "unknown key prior.restart_on_crash"):
+        if key.split(".")[-1] + " = " in new:
+            assert key in err
+
+
+def test_sde_stochastic_true_changes_no_output_byte(tmp_path):
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian", run_lines="chains = 2")
+    assert main(["reconstruct", str(cfg)]) == EXIT_OK
+    without_key = (tmp_path / "rec.pnpi").read_bytes()
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("steps = 6", "steps = 6\nstochastic = true"), encoding="utf-8")
+    assert main(["reconstruct", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "rec.pnpi").read_bytes() == without_key
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian", run_lines="chains = 2")
+    assert main(["--threads", threads, "reconstruct", str(cfg)]) == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "rec.pnpi").exists()
 
 
 def test_reconstruct_non_finite_input_is_runtime_error(tmp_path, capsys):
@@ -280,6 +304,13 @@ def test_reconstruct_non_finite_input_is_runtime_error(tmp_path, capsys):
 def test_reconstruct_bridge_failure_exit_code(tmp_path):
     cfg = _reconstruct_config(tmp_path, "kind = bridge\ncommand = false")
     assert main(["reconstruct", str(cfg)]) == EXIT_BRIDGE
+
+
+def test_reconstruct_bridge_command_that_cannot_start_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing-denoiser"
+    cfg = _reconstruct_config(tmp_path, f"kind = bridge\ncommand = {missing}")
+    assert main(["reconstruct", str(cfg)]) == EXIT_BRIDGE
+    assert "bridge error" in capsys.readouterr().err
 
 
 def test_evaluate_table_and_missing_file(tmp_path, capsys):

@@ -103,3 +103,24 @@ def test_validation():
     model = _model(op)
     with pytest.raises(ValueError):
         sample_conditional(model, np.zeros((2, 2)), -1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0, -1.0, 1e-200])
+def test_rho_must_be_finite_and_positive(rho):
+    """No rho is floored or let through: 1e-200 would make 1/rho^2 infinite."""
+    model = _model(block_average_downsample(2, 4, 4))
+    x = np.zeros((4, 4))
+    with pytest.raises(ValueError, match="rho"):
+        sample_conditional(model, x, rho, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="rho"):
+        conditional_moments(model, x, rho)
+
+
+def test_small_rho_is_used_as_given():
+    """The draw uses the same rho as the prior step, however small."""
+    op = block_average_downsample(2, 4, 4)
+    model = _model(op, sigma_y=0.07)
+    rho = 1e-9
+    c = conditional_moments(model, np.zeros(op.in_shape), rho)[1]
+    assert c == pytest.approx(1.0 / (1.0 / rho**2 + op.singular_value**2 / 0.07**2),
+                              rel=1e-12, abs=0.0)

@@ -1,0 +1,46 @@
+"""README.md names every config key, and each of its config examples reads."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from pnpdm.cli import RECONSTRUCT_SCHEMA, SIMULATE_SCHEMA
+from pnpdm.config import read_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+SCHEMAS = {"simulate": SIMULATE_SCHEMA, "reconstruct": RECONSTRUCT_SCHEMA}
+
+
+def _ini_blocks():
+    """(subcommand, text) of every ```ini block: the first word of the
+    nearest heading above it names the subcommand."""
+    command = None
+    for part in re.split(r"^(#{2,3} .*)$", README, flags=re.M):
+        if part.startswith("#"):
+            command = part.split()[1]
+        else:
+            for block in re.findall(r"^```ini\n(.*?)^```", part, flags=re.M | re.S):
+                yield command, block
+
+
+BLOCKS = list(_ini_blocks())
+
+
+@pytest.mark.parametrize("command", SCHEMAS)
+def test_readme_names_every_config_key(command):
+    """A key counts as named in an example line ``key = ...`` or in backticks,
+    as `key` or `section.key`."""
+    missing = [f"{section}.{key}" for section, keys in SCHEMAS[command].items()
+               for key in keys
+               if not re.search(rf"^{key} =|`({section}\.)?{key}`", README, flags=re.M)]
+    assert not missing, f"README.md does not name {missing}"
+
+
+@pytest.mark.parametrize("command,block", BLOCKS,
+                         ids=[f"{command}-{i}" for i, (command, _) in enumerate(BLOCKS)])
+def test_readme_config_examples_read(tmp_path, command, block):
+    assert command in SCHEMAS, f"ini block under a '{command}' heading:\n{block}"
+    path = tmp_path / "example.cfg"
+    path.write_text(block, encoding="utf-8")
+    read_config(path, SCHEMAS[command])
