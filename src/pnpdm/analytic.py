@@ -35,6 +35,11 @@ def _gmm_workspace(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return buffers
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+
+
 @dataclass(frozen=True)
 class GaussianPrior:
     """N(mean, diag(variance)); mean/variance broadcast against image shapes."""
@@ -48,9 +53,6 @@ class GaussianPrior:
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """E[x0 | x0 + sigma*eps = x] = mean + C (C + sigma^2 I)^-1 (x - mean)."""
-        x = np.asarray(x, dtype=np.float64)
-        if sigma == 0:
-            return x.copy()
         return self.denoise_with_tweedie(x, sigma)[0]
 
     def denoise_with_tweedie(self, x: np.ndarray,
@@ -60,6 +62,7 @@ class GaussianPrior:
         The factor is the gain C / (C + sigma^2), shaped like the variance
         parameter (a scalar when the variance is one).
         """
+        _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         gain = self.variance / (self.variance + sigma**2)
         return self.mean + gain * (x - self.mean), gain
@@ -150,8 +153,7 @@ class GmmPrior:
         it.  The returned mean and factor are new arrays, never views of it,
         so a warm call allocates only those two N-arrays.
         """
-        if sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
+        _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         gain = self.variances / (self.variances + sigma**2)
         offset = (1.0 - gain) * self.means

@@ -60,24 +60,12 @@ PRIOR_KEYS = {
 RECONSTRUCT_SCHEMA = {
     "measurement": {"factor": int, "sigma_y": finite_float},
     "schedule": {"rho0": finite_float, "rho_min": finite_float, "alpha": finite_float},
-    "sde": {"steps": int, "curvature": finite_float, "sigma_floor": finite_float,
-            "stochastic": boolean},
+    "sde": {"steps": int, "sigma_floor": finite_float, "stochastic": boolean},
     "run": {"iterations": int, "burn_in": int, "collect_every": int, "chains": int,
             "seed": int},
     "prior": {"kind": str, **{k: p for keys in PRIOR_KEYS.values() for k, p in keys.items()}},
     "io": {"input": str, "output": str, "log": str, "samples_dir": str},
 }
-
-# Default phantom geometry: three gently curved tissue bands on a dark
-# background, in the spirit of layered cross-sectional scans.
-def _default_layers(height: int, width: int) -> tuple[Layer, ...]:
-    h, w = float(height), float(width)
-    return (
-        Layer(depth=(0.22 * h, 0.0, 0.12 * h / (w * w)), brightness=0.75),
-        Layer(depth=(0.45 * h, -0.02, 0.10 * h / (w * w)), brightness=0.45),
-        Layer(depth=(0.72 * h, 0.01, 0.06 * h / (w * w)), brightness=0.60),
-    )
-
 
 def _build(section: str, factory, *args, **kwargs):
     """factory(*args, **kwargs), reporting a ValueError it raises on a bad
@@ -88,7 +76,7 @@ def _build(section: str, factory, *args, **kwargs):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _phantom_spec(section: dict, seed_override=None) -> PhantomSpec:
+def _phantom_spec(section: dict) -> PhantomSpec:
     fields = {"height": 256, "width": 256, **section}
     layers = []
     for key in sorted((k for k in section if k.startswith("layer")), key=lambda k: int(k[5:])):
@@ -96,17 +84,12 @@ def _phantom_spec(section: dict, seed_override=None) -> PhantomSpec:
         if len(values) != 4:
             raise ConfigError(f"phantom.{key}: expected 'c0,c1,c2,brightness'")
         layers.append(Layer(depth=tuple(values[:3]), brightness=values[3]))
-    if seed_override is not None:
-        fields["seed"] = seed_override
-    spec = _build("phantom", PhantomSpec, layers=tuple(layers), **fields)
-    if layers:
-        return spec
-    return dataclasses.replace(spec, layers=_default_layers(spec.height, spec.width))
+    return _build("phantom", PhantomSpec, layers=tuple(layers), **fields)
 
 
-def cmd_simulate(config_path: str, seed_override=None) -> int:
+def cmd_simulate(config_path: str) -> int:
     cfg = read_config(config_path, SIMULATE_SCHEMA)
-    spec = _phantom_spec(cfg["phantom"], seed_override)
+    spec = _phantom_spec(cfg["phantom"])
     factor = cfg["measurement"].get("factor", 4)
     sigma_y = cfg["measurement"].get("sigma_y", 0.03)
     noise_seed = cfg["measurement"].get("seed", spec.seed + 1)
@@ -168,7 +151,7 @@ def _build_denoiser(section: dict):
     return bridge.denoise, bridge.close
 
 
-def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> int:
+def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     cfg = read_config(config_path, RECONSTRUCT_SCHEMA)
 
     io = cfg["io"]
@@ -199,8 +182,6 @@ def cmd_reconstruct(config_path: str, seed_override=None, threads: int = 1) -> i
     chains = run.pop("chains", 1)
     if chains < 1:
         raise ConfigError(f"run.chains must be >= 1, got {chains}")
-    if seed_override is not None:
-        run["seed"] = seed_override
     burn_in = schedule.clamp_iteration()
     run_cfg = _build("run", RunConfig, **{"iterations": burn_in + 100, "burn_in": burn_in,
                                           **run})
@@ -268,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Split-Gibbs plug-and-play posterior sampling for "
                     "super-resolution and denoising",
     )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for multi-chain reconstruction")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,9 +272,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.seed)
+            return cmd_simulate(args.config)
         if args.command == "reconstruct":
-            return cmd_reconstruct(args.config, args.seed, args.threads)
+            return cmd_reconstruct(args.config, args.threads)
         return cmd_evaluate(args.ref, args.tests)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Minimal sectioned key=value config files, read against a typed schema.
 
-UTF-8 text, one ``key = value`` per line, ``#`` comments, ``[section]``
-headers.  A schema maps each section to ``{key: parser}``; a key is a
-regular expression matched against the whole name, so plain names match
+UTF-8 text, one ``key = value`` per line, ``[section]`` headers and ``#``
+comments: a ``#`` at the start of a line or after whitespace starts one, so
+``a#1`` is a value.  A schema maps each section to ``{key: parser}``; a key
+is a regular expression matched against the whole name, so plain names match
 only themselves and ``layer\\d+`` matches every ``layerN``.  Reading is
 fail-closed: unknown sections, unknown keys and values their parser rejects
 raise ``ConfigError`` naming ``section.key``.
@@ -21,6 +22,7 @@ class ConfigError(ValueError):
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_COMMENT_RE = re.compile(r"(^|\s)#.*")
 
 
 def parse_config(text: str) -> dict[str, dict[str, str]]:
@@ -28,7 +30,7 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
     current: dict[str, str] | None = None
     current_name = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT_RE.sub("", raw, count=1).strip()
         if not line:
             continue
         match = _SECTION_RE.match(line)

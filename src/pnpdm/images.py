@@ -7,7 +7,8 @@ many small updates per pixel, and tests compare it to dense oracles at 1e-10.
 Two on-disk formats are supported:
 
 * native float format -- magic ``PNPI``, u32 height, u32 width, u32 reserved
-  (zero), then height*width little-endian finite f32 values row-major.
+  (zero), then height*width little-endian finite f32 values row-major, and
+  nothing after them.
   Round-trips bit-exactly at 32-bit precision.
 * binary 8-bit portable graymap (``P5``) with maxval 255; values map linearly
   to [0, 1].  Lossy (1/255 quantization), meant for viewers.
@@ -84,6 +85,8 @@ def _decode_float(raw: bytes) -> np.ndarray:
     expected = _FLOAT_HEADER.size + 4 * h * w
     if len(raw) < expected:
         raise ImageFormatError("truncated payload", len(raw))
+    if len(raw) > expected:
+        raise ImageFormatError(f"{len(raw) - expected} bytes after the pixels", expected)
     data = np.frombuffer(raw, dtype="<f4", count=h * w, offset=_FLOAT_HEADER.size)
     finite = np.isfinite(data)
     if not finite.all():

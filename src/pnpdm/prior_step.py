@@ -59,29 +59,27 @@ class SdeConfig:
 
     num_steps: Euler-Maruyama steps per prior refinement.
     sigma_floor: smallest integration noise level before the final jump.
-    curvature: power-law exponent of the sigma grid (EDM-standard 7).
     """
 
     num_steps: int = 20
     sigma_floor: float = 0.01
-    curvature: float = 7.0
 
     def __post_init__(self):
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be >= 1, got {self.num_steps}")
         if self.sigma_floor <= 0:
             raise ValueError(f"sigma_floor must be > 0, got {self.sigma_floor}")
-        if self.curvature <= 0:
-            raise ValueError(f"curvature must be > 0, got {self.curvature}")
 
 
 def sigma_grid(start: float, cfg: SdeConfig) -> np.ndarray:
-    """K+1 strictly decreasing noise levels from start down to the floor."""
+    """K+1 strictly decreasing noise levels from start down to the floor:
+    level k is (start^(1/7) + k/K (floor^(1/7) - start^(1/7)))^7, the EDM grid
+    of Karras et al. (2022), which spends its steps near the floor."""
     if start <= cfg.sigma_floor:
         raise ValueError(f"start {start} must exceed sigma_floor {cfg.sigma_floor}")
-    inv = 1.0 / cfg.curvature
+    inv = 1.0 / 7.0
     frac = np.arange(cfg.num_steps + 1) / cfg.num_steps
-    grid = (start**inv + frac * (cfg.sigma_floor**inv - start**inv)) ** cfg.curvature
+    grid = (start**inv + frac * (cfg.sigma_floor**inv - start**inv)) ** 7.0
     grid[0] = start
     grid[-1] = cfg.sigma_floor
     return grid

@@ -24,7 +24,21 @@ def test_gaussian_denoise_closed_form():
     sigma = 0.1
     gain = 0.04 / (0.04 + 0.01)
     assert np.allclose(prior.denoise(x, sigma), 0.3 + gain * (x - 0.3))
-    assert np.array_equal(prior.denoise(x, 0.0), x)
+    with pytest.raises(ValueError):
+        prior.denoise(x, 0.0)
+
+
+@pytest.mark.parametrize("prior", [
+    GaussianPrior(mean=0.3, variance=0.04),
+    GmmPrior(weights=[1.0, 1.0], means=[0.2, 0.7], variances=[0.01, 0.01]),
+], ids=["gaussian", "gmm"])
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -0.1, 0.0])
+def test_denoise_sigma_must_be_finite_and_positive(prior, sigma):
+    x = np.array([[0.8, -0.2]])
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        prior.denoise(x, sigma)
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        prior.denoise_with_tweedie(x, sigma)
 
 
 def test_gaussian_broadcasting_pixelwise_params():

@@ -61,12 +61,32 @@ def test_simulate_deterministic(tmp_path):
     assert (tmp_path / "out" / "lr.pnpi").read_bytes() == first
 
 
-def test_simulate_seed_override_changes_speckle(tmp_path):
+def test_simulate_config_seed_changes_speckle(tmp_path):
     cfg = _simulate_config(tmp_path)
     main(["simulate", str(cfg)])
     base = (tmp_path / "out" / "speckled.pnpi").read_bytes()
-    main(["--seed", "77", "simulate", str(cfg)])
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("seed = 3", "seed = 77"),
+                   encoding="utf-8")
+    main(["simulate", str(cfg)])
     assert (tmp_path / "out" / "speckled.pnpi").read_bytes() != base
+
+
+def test_simulate_without_layers_writes_background_only(tmp_path):
+    cfg = _simulate_config(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("layer1 = 8,0,0,0.75\nlayer2 = 20,0,0,0.3\n", ""),
+                   encoding="utf-8")
+    assert main(["simulate", str(cfg)]) == EXIT_OK
+    clean = read_image(tmp_path / "out" / "clean.pnpi")
+    assert np.array_equal(clean, np.full((32, 32), np.float32(0.05)))
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_seed_option_is_usage_error(tmp_path, command):
+    """The seed in the config file is the only seed."""
+    cfg = (_simulate_config(tmp_path) if command == "simulate"
+           else _reconstruct_config(tmp_path, "kind = gaussian"))
+    assert main(["--seed", "1", command, str(cfg)]) == EXIT_USAGE
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -141,13 +161,15 @@ def test_reconstruct_gaussian_end_to_end(tmp_path):
         float(fields[2])  # data fidelity is numeric
 
 
-def test_reconstruct_deterministic_and_seed_override(tmp_path):
+def test_reconstruct_deterministic_and_config_seed_changes_output(tmp_path):
     cfg = _reconstruct_config(tmp_path, "kind = gaussian")
     main(["reconstruct", str(cfg)])
     first = (tmp_path / "rec.pnpi").read_bytes()
     main(["reconstruct", str(cfg)])
     assert (tmp_path / "rec.pnpi").read_bytes() == first
-    main(["--seed", "99", "reconstruct", str(cfg)])
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("seed = 1", "seed = 99"),
+                   encoding="utf-8")
+    main(["reconstruct", str(cfg)])
     assert (tmp_path / "rec.pnpi").read_bytes() != first
 
 
@@ -239,7 +261,7 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
      "width = 0\nseed = 3"),
     ("reconstruct", "sigma_y = 0.05", "sigma_y = nan"),
     ("reconstruct", "sigma_floor = 0.02", "sigma_floor = nan"),
-    ("reconstruct", "steps = 6", "steps = 6\ncurvature = nan"),
+    ("reconstruct", "steps = 6", "steps = 6\ncurvature = 7"),
     ("reconstruct", "kind = gaussian", "kind = gaussian\nvariance = nan"),
     ("reconstruct", "rho0 = 1.0", "rho0 = inf"),
     ("reconstruct", "kind = gaussian", "kind = gaussian\nvariance = 0"),
@@ -253,7 +275,7 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = true"),
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = false"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
-        "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-nan", "variance-nan",
+        "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-7", "variance-nan",
         "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind",
         "simulate-sigma_y-negative", "simulate-phantom-seed-negative", "run-seed-negative",
         "stochastic-false", "restart_on_crash-true", "restart_on_crash-false"])
@@ -267,8 +289,10 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     err = capsys.readouterr().err
     assert "config error" in err
     # every chain starts at the backprojection, every prior step draws x | z
-    # and nothing restarts a bridge: no key selects another mode
-    for key in ("unknown key run.init", "sde.stochastic", "unknown key prior.restart_on_crash"):
+    # on the one sigma grid and nothing restarts a bridge: no key selects
+    # another mode
+    for key in ("unknown key run.init", "sde.stochastic", "unknown key sde.curvature",
+                "unknown key prior.restart_on_crash"):
         if key.split(".")[-1] + " = " in new:
             assert key in err
 

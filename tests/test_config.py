@@ -37,6 +37,11 @@ def test_value_may_contain_equals():
     assert sections["a"]["cmd"] == "x --flag=1"
 
 
+def test_hash_starts_a_comment_only_after_whitespace():
+    text = "[io]\noutput = runs/a#1.pnpi\nlog = run.log\t# tab comment\n  # indented\n"
+    assert parse_config(text) == {"io": {"output": "runs/a#1.pnpi", "log": "run.log"}}
+
+
 @pytest.mark.parametrize("text", [
     "[a]\nkey = 1\nkey = 2\n",      # duplicate key
     "key = 1\n",                     # key outside any section

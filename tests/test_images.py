@@ -78,6 +78,15 @@ def test_truncated_float_payload(tmp_path):
         read_image(path)
 
 
+def test_float_bytes_after_pixels_are_rejected(tmp_path):
+    path = tmp_path / "x.pnpi"
+    write_image(path, np.zeros((2, 2)))
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ImageFormatError) as exc:
+        read_image(path)
+    assert exc.value.offset == 16 + 4 * 4
+
+
 def test_float_reserved_word_must_be_zero(tmp_path):
     import struct
 

@@ -13,8 +13,6 @@ def test_sde_config_validation():
         SdeConfig(num_steps=0)
     with pytest.raises(ValueError):
         SdeConfig(sigma_floor=0.0)
-    with pytest.raises(ValueError):
-        SdeConfig(curvature=-1.0)
 
 
 def test_sigma_grid_endpoints_and_monotonicity():
@@ -27,7 +25,7 @@ def test_sigma_grid_endpoints_and_monotonicity():
 
 
 def test_sigma_grid_power_rule():
-    cfg = SdeConfig(num_steps=10, sigma_floor=0.01, curvature=7.0)
+    cfg = SdeConfig(num_steps=10, sigma_floor=0.01)
     grid = sigma_grid(2.0, cfg)
     inv = 1.0 / 7.0
     k = 4

@@ -1,11 +1,13 @@
-"""README.md names every config key, and each of its config examples reads."""
+"""README.md names every config key and only options the CLI has, and each
+of its config examples reads."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
-from pnpdm.cli import RECONSTRUCT_SCHEMA, SIMULATE_SCHEMA
+from pnpdm.cli import RECONSTRUCT_SCHEMA, SIMULATE_SCHEMA, _build_parser
 from pnpdm.config import read_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -44,3 +46,25 @@ def test_readme_config_examples_read(tmp_path, command, block):
     path = tmp_path / "example.cfg"
     path.write_text(block, encoding="utf-8")
     read_config(path, SCHEMAS[command])
+
+
+def _parser_options(parser: argparse.ArgumentParser) -> set[str]:
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _parser_options(sub)
+    return options
+
+
+def test_readme_names_only_cli_options():
+    """An option counts as named on a ``pnpdm ...`` command line (its comment
+    included) or in backticks; the pip, pytest and bridge_helper options the
+    README shows are not the CLI's."""
+    named = set(re.findall(r"`(--[\w-]+)", README))
+    for line in re.findall(r"^pnpdm .*$", README, flags=re.M):
+        named.update(re.findall(r"(?<![\w-])--[\w-]+", line))
+    assert "--threads" in named
+    unknown = sorted(named - _parser_options(_build_parser()))
+    assert not unknown, f"README.md names options the CLI does not have: {unknown}"
