@@ -173,8 +173,10 @@ class BridgeConfig:
     timeout: float = 30.0
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        # select() rejects a wait longer than the platform's largest timeout
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g} s, got {self.timeout}")
         if not self.command:
             raise ValueError("command must be non-empty")
 

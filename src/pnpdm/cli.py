@@ -182,9 +182,8 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     chains = run.pop("chains", 1)
     if chains < 1:
         raise ConfigError(f"run.chains must be >= 1, got {chains}")
-    burn_in = schedule.clamp_iteration()
-    run_cfg = _build("run", RunConfig, **{"iterations": burn_in + 100, "burn_in": burn_in,
-                                          **run})
+    burn_in = run.setdefault("burn_in", schedule.clamp_iteration())
+    run_cfg = _build("run", RunConfig, **{"iterations": burn_in + 100, **run})
     x_init = initialize(model)
 
     denoise, close = _build_denoiser(cfg["prior"])
@@ -217,7 +216,9 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
         for i, sample in enumerate(all_samples):
             write_image(sample_root / f"sample_{i:05d}.pnpi", sample)
     if log_path is not None:
-        Path(log_path).write_text(
+        log_path = Path(log_path)
+        log_path.parent.mkdir(parents=True, exist_ok=True)
+        log_path.write_text(
             "# q\trho\tdata_fidelity\n" + "\n".join(log_lines) + "\n", encoding="utf-8"
         )
     print(f"wrote {output_path} (mean of {len(all_samples)} samples)")
@@ -235,7 +236,7 @@ def cmd_evaluate(ref_path: str, test_paths: list[str]) -> int:
         except (OSError, ValueError) as exc:
             rows.append((path, f"error: {exc}", "", ""))
             failed = True
-    name_width = max(len("name"), *(len(r[0]) for r in rows)) if rows else len("name")
+    name_width = max(len("name"), *(len(r[0]) for r in rows))
     header = f"{'name':<{name_width}}  {'PSNR':>10}  {'SSIM':>10}  {'LPIPS':>6}"
     print(header)
     for name, p, s, l in rows:

@@ -54,7 +54,7 @@ def parse_config(text: str) -> dict[str, dict[str, str]]:
 def load_config(path) -> dict[str, dict[str, str]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 

@@ -99,6 +99,14 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.cfg")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_config_not_utf8_is_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    assert main([command, str(cfg)]) == EXIT_USAGE
+    assert f"config error: cannot read config {cfg}" in capsys.readouterr().err
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
 
@@ -232,6 +240,25 @@ def test_reconstruct_log_only_when_requested(tmp_path, monkeypatch):
     assert main(["--threads", "2", "reconstruct", str(cfg)]) == EXIT_OK
     assert calls == [] and not (tmp_path / "rec.log").exists()
 
+    # the log's directory is created, as the output's is
+    nested = tmp_path / "newdir" / "sub" / "run.log"
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("[io]", f"[io]\nlog = {nested}"), encoding="utf-8")
+    assert main(["reconstruct", str(cfg)]) == EXIT_OK
+    assert len(nested.read_text(encoding="utf-8").splitlines()) == 11
+
+
+@pytest.mark.parametrize("burn_in", [0, 120])
+def test_reconstruct_burn_in_alone_collects_100_samples(tmp_path, capsys, burn_in):
+    """Without run.iterations a chain runs burn_in + 100 iterations, whatever
+    sets burn_in (this schedule reaches rho_min at q = 16)."""
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian", size=8, log=False)
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(text.replace("iterations = 10\nburn_in = 4", f"burn_in = {burn_in}"),
+                   encoding="utf-8")
+    assert main(["reconstruct", str(cfg)]) == EXIT_OK
+    assert "(mean of 100 samples)" in capsys.readouterr().out
+
 
 def test_reconstruct_samples_dir(tmp_path):
     cfg = _reconstruct_config(tmp_path, "kind = gaussian")
@@ -266,6 +293,7 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "rho0 = 1.0", "rho0 = inf"),
     ("reconstruct", "kind = gaussian", "kind = gaussian\nvariance = 0"),
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\ntimeout = 0"),
+    ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\ntimeout = 1e10"),
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = 'unbalanced"),
     ("reconstruct", "kind = gaussian", "kind = gaussian\nmeans = 0.1,0.9"),
     ("simulate", "sigma_y = 0.03", "sigma_y = -0.1"),
@@ -276,9 +304,9 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = false"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
         "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-7", "variance-nan",
-        "rho0-inf", "variance-zero", "bridge-timeout", "bridge-command", "key-of-other-kind",
-        "simulate-sigma_y-negative", "simulate-phantom-seed-negative", "run-seed-negative",
-        "stochastic-false", "restart_on_crash-true", "restart_on_crash-false"])
+        "rho0-inf", "variance-zero", "bridge-timeout", "bridge-timeout-huge", "bridge-command",
+        "key-of-other-kind", "simulate-sigma_y-negative", "simulate-phantom-seed-negative",
+        "run-seed-negative", "stochastic-false", "restart_on_crash-true", "restart_on_crash-false"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))
@@ -324,6 +352,11 @@ def test_reconstruct_non_finite_input_is_runtime_error(tmp_path, capsys):
     assert "non-finite pixel" in capsys.readouterr().err
     assert not (tmp_path / "rec.pnpi").exists()
 
+    (tmp_path / "lr.pnpi").write_bytes(b"P5\n8 8\n255\n" + bytes(64))  # 8-bit graymap
+    assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
+    assert "unrecognized magic bytes (byte offset 0)" in capsys.readouterr().err
+    assert not (tmp_path / "rec.pnpi").exists()
+
 
 def test_reconstruct_bridge_failure_exit_code(tmp_path):
     cfg = _reconstruct_config(tmp_path, "kind = bridge\ncommand = false")
@@ -350,3 +383,8 @@ def test_evaluate_table_and_missing_file(tmp_path, capsys):
     assert "n/a" in row
     assert main(["evaluate", str(tmp_path / "ref.pnpi"),
                  str(tmp_path / "missing.pnpi")]) == EXIT_RUNTIME
+    (tmp_path / "b.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))  # 8-bit graymap
+    capsys.readouterr()
+    assert main(["evaluate", str(tmp_path / "ref.pnpi"), str(tmp_path / "b.pgm")]) \
+        == EXIT_RUNTIME
+    assert "error: unrecognized magic bytes" in capsys.readouterr().out.splitlines()[1]

@@ -58,6 +58,13 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_load_config_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\u00e9\n[run]\nseed = 1\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config {path}")):
+        load_config(path)
+
+
 SCHEMA = {
     "run": {"seed": int, "rate": finite_float, "strict": boolean, "levels": float_list},
     "phantom": {"height": int, r"layer\d+": float_list},

@@ -29,44 +29,22 @@ def test_as_image_rejects_non_2d(bad):
 def test_float_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     img = rng.standard_normal((13, 9))
-    path = tmp_path / "img.pnpi"
-    write_image(path, img)
-    back = read_image(path)
-    # exact at 32-bit precision
-    assert np.array_equal(back, img.astype("<f4").astype(np.float64))
-    assert path.read_bytes()[:4] == FLOAT_MAGIC
-
-
-def test_pgm_round_trip_quantized(tmp_path):
-    img = np.linspace(0, 1, 64).reshape(8, 8)
-    path = tmp_path / "img.pgm"
-    write_image(path, img)
-    back = read_image(path)
-    assert back.shape == img.shape
-    assert np.max(np.abs(back - img)) <= 0.5 / 255 + 1e-12
-
-
-def test_pgm_clips_out_of_range(tmp_path):
-    path = tmp_path / "img.pgm"
-    write_image(path, np.array([[-1.0, 2.0]]))
-    back = read_image(path)
-    assert back[0, 0] == 0.0 and back[0, 1] == 1.0
-
-
-def test_pgm_header_comments(tmp_path):
-    raw = b"P5\n# a comment\n2 1\n# another\n255\n\x00\xff"
-    path = tmp_path / "c.pgm"
-    path.write_bytes(raw)
-    back = read_image(path)
-    assert np.allclose(back, [[0.0, 1.0]])
+    for name in ("img.pnpi", "img.pgm"):  # PNPI whatever the file name
+        path = tmp_path / name
+        write_image(path, img)
+        back = read_image(path)
+        # exact at 32-bit precision
+        assert np.array_equal(back, img.astype("<f4").astype(np.float64))
+        assert path.read_bytes()[:4] == FLOAT_MAGIC
 
 
 def test_unknown_magic(tmp_path):
     path = tmp_path / "junk.bin"
-    path.write_bytes(b"WHAT" + b"\x00" * 32)
-    with pytest.raises(ImageFormatError) as exc:
-        read_image(path)
-    assert exc.value.offset == 0
+    for raw in (b"WHAT" + b"\x00" * 32, b"P5\n2 1\n255\n\x00\xff"):  # junk, 8-bit graymap
+        path.write_bytes(raw)
+        with pytest.raises(ImageFormatError, match="unrecognized magic bytes") as exc:
+            read_image(path)
+        assert exc.value.offset == 0
 
 
 def test_truncated_float_payload(tmp_path):
@@ -118,13 +96,6 @@ def test_float_non_finite_pixel_is_rejected(tmp_path, bad, index):
     with pytest.raises(ImageFormatError) as exc:
         read_image(path)
     assert exc.value.offset == 16 + 4 * index
-
-
-def test_pgm_bad_maxval(tmp_path):
-    path = tmp_path / "m.pgm"
-    path.write_bytes(b"P5\n1 1\n70000\n\x00\x00")
-    with pytest.raises(ImageFormatError):
-        read_image(path)
 
 
 @settings(max_examples=25, deadline=None)
