@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -160,6 +161,13 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     output_path = Path(io.get("output", "reconstruction.pnpi"))
     log_path = io.get("log")
     samples_dir = io.get("samples_dir")
+    # paths the run cannot write fail now, not after every chain has run
+    for key, path in (("output", output_path), ("log", log_path)):
+        if path is not None and Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, f"io.{key} is a directory", str(path))
+    if samples_dir is not None and Path(samples_dir).exists() and not Path(samples_dir).is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "io.samples_dir is not a directory",
+                                 samples_dir)
 
     measurement = read_image(io["input"])
     factor = cfg["measurement"].get("factor", 4)

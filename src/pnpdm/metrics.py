@@ -1,4 +1,15 @@
-"""Image quality metrics and the bicubic interpolation baseline."""
+"""Image quality metrics and the bicubic interpolation baseline.
+
+SSIM (Wang et al. 2004) is computed in bands of ``SSIM_TILE`` output rows.
+For each band the five moment images x, y, x², y², xy of its
+``SSIM_TILE + 10`` input rows are stacked side by side, and the separable
+11x11 Gaussian window is applied as two banded matrix products: one
+``(SSIM_TILE, SSIM_TILE + 10)`` product down the columns, then one over
+column tiles of ``SSIM_TILE`` outputs along the rows.  The SSIM map of the
+band is finished and summed while it is still in cache, so one call keeps a
+few band-sized buffers instead of full-image temporaries, and its cost per
+pixel does not grow with the image.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +23,7 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
+SSIM_TILE = 16  # output rows per band, and output columns per column tile
 
 
 def _check_pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
@@ -19,6 +31,11 @@ def _check_pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
     test = as_image(test)
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {test.shape}")
+    for name, img in (("ref", ref), ("test", test)):
+        finite = np.isfinite(img)
+        if not finite.all():
+            index = np.unravel_index(int(np.argmin(finite)), img.shape)
+            raise ValueError(f"{name} image has a non-finite pixel at {tuple(map(int, index))}")
     return ref, test
 
 
@@ -31,24 +48,20 @@ def psnr(ref, test) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _gaussian_taps() -> np.ndarray:
-    """1-D taps whose outer product is the normalized 2-D SSIM window."""
+def _band_matrix() -> np.ndarray:
+    """(SSIM_TILE, SSIM_TILE + 10) matrix whose row i holds the 11 Gaussian
+    taps (std SSIM_SIGMA, sum 1) at columns i..i+10.
+
+    Its top-left (t, t + 10) corner maps t + 10 samples to their t 'valid'
+    windowed means, for any t <= SSIM_TILE.
+    """
     half = SSIM_WINDOW // 2
-    g = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * SSIM_SIGMA**2))
-    return g / g.sum()
-
-
-def _windowed(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """'Valid' correlation with outer(taps, taps): along columns, then rows."""
-    k = taps.size
-    h, w = img.shape[0] - k + 1, img.shape[1] - k + 1
-    cols = taps[0] * img[:h]
-    for i in range(1, k):
-        cols += taps[i] * img[i : i + h]
-    out = taps[0] * cols[:, :w]
-    for j in range(1, k):
-        out += taps[j] * cols[:, j : j + w]
-    return out
+    taps = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * SSIM_SIGMA**2))
+    taps /= taps.sum()
+    band = np.zeros((SSIM_TILE, SSIM_TILE + SSIM_WINDOW - 1))
+    for i in range(SSIM_TILE):
+        band[i, i : i + SSIM_WINDOW] = taps
+    return band
 
 
 def ssim(ref, test) -> float:
@@ -59,15 +72,53 @@ def ssim(ref, test) -> float:
     ref, test = _check_pair(ref, test)
     if min(ref.shape) < SSIM_WINDOW:
         raise ValueError(f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
-    w = _gaussian_taps()
-    mu1 = _windowed(ref, w)
-    mu2 = _windowed(test, w)
-    var1 = _windowed(ref * ref, w) - mu1**2
-    var2 = _windowed(test * test, w) - mu2**2
-    cov = _windowed(ref * test, w) - mu1 * mu2
-    num = (2.0 * mu1 * mu2 + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu1**2 + mu2**2 + SSIM_C1) * (var1 + var2 + SSIM_C2)
-    return float(np.mean(num / den))
+    t, k = SSIM_TILE, SSIM_WINDOW - 1
+    band = _band_matrix()
+    # A column tile's t outputs read its own t columns through band.T[:t] and
+    # the first k columns of the next tile through band.T[t:].
+    own, spill = band.T[:t], band.T[t:]
+    height, width = ref.shape
+    out_h, out_w = height - k, width - k
+    # Rows are cut into tiles of t columns plus one spare tile, so that every
+    # tile holding an output column has its right neighbour in the same row.
+    padded = (-(-out_w // t) + 1) * t
+    moments = np.zeros((t + k, 5, padded))  # x, y, x², y², xy of one band
+    vert = np.empty((t, 5, padded))
+    win = np.empty((t, 5, padded))
+    total = 0.0
+    for r0 in range(0, out_h, t):
+        rows = min(t, out_h - r0)
+        x, y = ref[r0 : r0 + rows + k], test[r0 : r0 + rows + k]
+        m = moments[: rows + k, :, :width]
+        m[:, 0] = x
+        m[:, 1] = y
+        np.multiply(x, x, out=m[:, 2])
+        np.multiply(y, y, out=m[:, 3])
+        np.multiply(x, y, out=m[:, 4])
+        # vertical pass: one product for all five moments of the band
+        np.matmul(band[:rows, : rows + k], moments[: rows + k].reshape(rows + k, -1),
+                  out=vert[:rows].reshape(rows, -1))
+        # horizontal pass: one product over every column tile, plus the spill
+        # from the next tile; a row's spare tile takes the next row's first
+        # tile as its neighbour, but its outputs are dropped
+        tiles = vert[:rows].reshape(-1, t)
+        out = win[:rows].reshape(-1, t)
+        np.matmul(tiles, own, out=out)
+        out[:-1] += tiles[1:, :k] @ spill
+        mu1, mu2, xx, yy, xy = (win[:rows, i, :out_w] for i in range(5))
+        mu12 = mu1 * mu2
+        mu_sq = mu1 * mu1
+        mu_sq += mu2 * mu2
+        num = 2.0 * mu12 + SSIM_C1
+        num *= 2.0 * (xy - mu12) + SSIM_C2
+        den = xx + yy
+        den -= mu_sq
+        den += SSIM_C2
+        mu_sq += SSIM_C1
+        den *= mu_sq
+        num /= den
+        total += float(np.sum(num))
+    return total / (out_h * out_w)
 
 
 def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:

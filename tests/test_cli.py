@@ -271,6 +271,31 @@ def test_reconstruct_samples_dir(tmp_path):
     assert read_image(samples[0]).shape == (16, 16)
 
 
+@pytest.mark.parametrize("key, make, message", [
+    ("output", Path.mkdir, "io.output is a directory"),
+    ("log", Path.mkdir, "io.log is a directory"),
+    ("samples_dir", Path.touch, "io.samples_dir is not a directory"),
+])
+def test_reconstruct_unwritable_path_fails_before_any_chain(tmp_path, capsys, monkeypatch,
+                                                            key, make, message):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(pnpdm.cli, "run_chain", no_chain)
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian", log=False)
+    target = tmp_path / "taken"
+    make(target)
+    text = cfg.read_text(encoding="utf-8")
+    if key == "output":
+        text = text.replace(f"output = {tmp_path / 'rec.pnpi'}", f"output = {target}")
+    else:
+        text = text.replace("[io]", f"[io]\n{key} = {target}")
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert message in err and str(target) in err
+
+
 def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     cfg = _reconstruct_config(tmp_path, "kind = wavelet")
     assert main(["reconstruct", str(cfg)]) == EXIT_USAGE

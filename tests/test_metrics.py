@@ -1,11 +1,12 @@
 """Metrics against independent dense reference implementations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pnpdm.metrics import SSIM_WINDOW, bicubic_upsample, psnr, ssim
+from pnpdm.metrics import SSIM_TILE, SSIM_WINDOW, bicubic_upsample, psnr, ssim
 
 
 def test_psnr_identity_and_known_value():
@@ -19,6 +20,18 @@ def test_psnr_identity_and_known_value():
 def test_psnr_shape_mismatch():
     with pytest.raises(ValueError):
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_metrics_reject_non_finite_pixels(metric, bad):
+    good = np.random.default_rng(4).random((16, 20))
+    broken = good.copy()
+    broken[3, 17] = bad
+    with pytest.raises(ValueError, match=r"test image has a non-finite pixel at \(3, 17\)"):
+        metric(good, broken)
+    with pytest.raises(ValueError, match=r"ref image has a non-finite pixel at \(3, 17\)"):
+        metric(broken, good)
 
 
 def _reference_ssim(ref, test):
@@ -56,6 +69,76 @@ def test_ssim_identity_symmetry_and_reference():
         assert s < 1.0
         assert abs(s - ssim(test, ref)) < 1e-12
         assert abs(s - _reference_ssim(ref, test)) < 1e-6
+
+
+def _windowed(img, taps):
+    """'Valid' correlation with outer(taps, taps): along columns, then rows."""
+    k = taps.size
+    h, w = img.shape[0] - k + 1, img.shape[1] - k + 1
+    cols = taps[0] * img[:h]
+    for i in range(1, k):
+        cols += taps[i] * img[i : i + h]
+    out = taps[0] * cols[:, :w]
+    for j in range(1, k):
+        out += taps[j] * cols[:, j : j + w]
+    return out
+
+
+def _windowed_ssim(ref, test):
+    """Full-image two-pass SSIM: each moment map windowed as a whole image."""
+    half = SSIM_WINDOW // 2
+    g = np.exp(-np.arange(-half, half + 1) ** 2 / (2 * 1.5**2))
+    w = g / g.sum()
+    c1, c2 = 0.01**2, 0.03**2
+    mu1 = _windowed(ref, w)
+    mu2 = _windowed(test, w)
+    var1 = _windowed(ref * ref, w) - mu1**2
+    var2 = _windowed(test * test, w) - mu2**2
+    cov = _windowed(ref * test, w) - mu1 * mu2
+    num = (2.0 * mu1 * mu2 + c1) * (2.0 * cov + c2)
+    den = (mu1**2 + mu2**2 + c1) * (var1 + var2 + c2)
+    return float(np.mean(num / den))
+
+
+def _noisy_pair(rng, shape):
+    ref = rng.random(shape)
+    return ref, np.clip(ref + 0.1 * rng.standard_normal(shape), 0, 1)
+
+
+_EDGES = [SSIM_TILE - 1, SSIM_TILE, SSIM_TILE + 1, 2 * SSIM_TILE + 1]
+
+
+@pytest.mark.parametrize(
+    "valid",
+    [(e, 13) for e in _EDGES] + [(13, e) for e in _EDGES]
+    + [(1, 1), (1, 2 * SSIM_TILE + 1), (SSIM_TILE + 1, 2 * SSIM_TILE + 1), (2 * SSIM_TILE + 1, 5)],
+)
+def test_ssim_tile_edges_match_reference(valid):
+    """Band and column-tile boundaries: valid extents around SSIM_TILE, 11x11
+    and non-square images, against the per-window loop."""
+    shape = (valid[0] + SSIM_WINDOW - 1, valid[1] + SSIM_WINDOW - 1)
+    ref, test = _noisy_pair(np.random.default_rng(sum(shape)), shape)
+    assert abs(ssim(ref, test) - _reference_ssim(ref, test)) < 1e-12
+
+
+@pytest.mark.parametrize("size", [256, 1024])
+def test_ssim_matches_full_image_two_pass(size):
+    ref, test = _noisy_pair(np.random.default_rng(size), (size, size))
+    expected = _windowed_ssim(ref, test)
+    assert abs(ssim(ref, test) - expected) <= 1e-13 * abs(expected)
+
+
+def test_ssim_memory_is_band_sized():
+    """One 1024^2 call stays within three images (the full-image two-pass
+    formula peaks near eight)."""
+    ref, test = _noisy_pair(np.random.default_rng(5), (1024, 1024))
+    tracemalloc.start()
+    try:
+        ssim(ref, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25e6
 
 
 def test_ssim_rejects_small_images():
