@@ -8,7 +8,6 @@ checked against closed-form answers.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,22 +16,9 @@ from pnpdm.likelihood import LikelihoodModel
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# Per-thread buffers of the fused GMM pass: chains share one prior under
-# ``--threads``, so a buffer shared across threads would be overwritten mid-pass.
-_workspace = threading.local()
-
-
-def _gmm_workspace(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's (K, N) responsibility and (6, N) sum buffers.
-
-    One pair per thread, for the last (K, N) seen: a call with another shape
-    replaces it, and the thread's exit frees it.
-    """
-    buffers = getattr(_workspace, "buffers", None)
-    if buffers is None or buffers[0].shape != (k, n):
-        buffers = (np.empty((k, n)), np.empty((6, n)))
-        _workspace.buffers = buffers
-    return buffers
+# Pixels per block of the fused GMM pass.  Smaller blocks mean more, shorter
+# numpy calls, each of which takes the GIL, which slows chains on threads.
+_BLOCK = 7168
 
 
 def _check_sigma(sigma: float) -> None:
@@ -48,8 +34,9 @@ class GaussianPrior:
     variance: np.ndarray | float
 
     def __post_init__(self):
-        if np.any(np.asarray(self.variance) <= 0):
-            raise ValueError("variance entries must be > 0")
+        variance = np.asarray(self.variance, dtype=np.float64)
+        if not (np.all((variance > 0) & (variance < np.inf)) and np.isfinite(self.mean).all()):
+            raise ValueError("variance entries must be finite and > 0, mean entries finite")
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """E[x0 | x0 + sigma*eps = x] = mean + C (C + sigma^2 I)^-1 (x - mean)."""
@@ -98,33 +85,21 @@ class GmmPrior:
         c = np.asarray(self.variances, dtype=np.float64)
         if w.ndim != 1 or w.size < 1 or mu.shape != w.shape or c.shape != w.shape:
             raise ValueError("weights, means, variances must be equal-length 1-D")
-        if np.any(w <= 0) or np.any(c <= 0):
-            raise ValueError("weights and variances must be > 0")
+        if not (np.all((w > 0) & (w < np.inf) & (c > 0) & (c < np.inf)) and np.isfinite(mu).all()):
+            raise ValueError("weights and variances must be finite and > 0, means finite")
         object.__setattr__(self, "weights", w / w.sum())
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", c)
 
-    def _log_weights(self, flat: np.ndarray, sigma: float, out: np.ndarray | None = None,
-                     powers: np.ndarray | None = None) -> np.ndarray:
-        """(K, N) log w_k N(x; mu_k, c_k + sigma^2) + log(2 pi) / 2 of a flat x.
-
-        The log-weight is quadratic in x, so one (K, 3) @ (3, N) product of
-        the coefficients and the powers (1, x, x^2) gives all of them.  The
-        product is written into ``out`` and the powers into ``powers`` when
-        given, else into new arrays.
-        """
+    def _coefficients(self, sigma: float) -> np.ndarray:
+        """(K, 3) coefficients of the powers (1, x, x^2) in the quadratic
+        log-weights log w_k N(x; mu_k, c_k + sigma^2) + log(2 pi) / 2."""
         var = self.variances + sigma**2
-        coefficients = np.stack([
+        return np.stack([
             np.log(self.weights) - 0.5 * (np.log(var) + self.means**2 / var),
             self.means / var,
             -0.5 / var,
         ], axis=1)
-        if powers is None:
-            powers = np.empty((3, flat.size))
-        powers[0] = 1.0
-        powers[1] = flat
-        np.multiply(flat, flat, out=powers[2])
-        return np.matmul(coefficients, powers, out=out)
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         """Responsibility-weighted mixture of per-component posterior means."""
@@ -134,7 +109,8 @@ class GmmPrior:
                              sigma: float) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and Tweedie factor Var[x0 | x] / sigma^2, in one pass.
 
-        The component log-weights come from ``_log_weights``.  Component k's
+        The (K, N) log-weights are one (K, 3) @ (3, N) product of
+        ``_coefficients`` and the powers (1, x, x^2).  Component k's
         posterior mean m_k = (1 - g_k) mu_k + g_k x, g_k = c_k / (c_k + sigma^2),
         is linear in x, so after the max-subtract and exp one (6, K) @ (K, N)
         product of the responsibilities r_k gives every sum that
@@ -145,47 +121,61 @@ class GmmPrior:
 
         needs.
 
-        The pass runs in this thread's workspace: the responsibilities r
-        (K, N) and the six sums (6, N), whose first four rows hold the powers
-        (1, x, x^2) and the column max before the product overwrites them.
-        That is (K + 6)·N·8 bytes per thread, kept for the last (K, N) seen
-        and freed when the thread exits or a call with another (K, N) replaces
-        it.  The returned mean and factor are new arrays, never views of it,
-        so a warm call allocates only those two N-arrays.
+        The pass walks the flat image in ceil(N / _BLOCK) blocks of near-equal
+        width, so no one-pixel block follows wider ones: numpy would send its
+        matmuls to BLAS's matrix-vector routine, which rounds differently.
+        The blocks share two scratch arrays, (K + 6)·min(_BLOCK, N)·8 bytes
+        freed on return: the responsibilities r (K, b) and the six sums (6, b),
+        whose first four rows hold the powers and the column max before the
+        product overwrites them.  Each block writes straight into the results.
         """
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
+        flat = x.reshape(-1)
         gain = self.variances / (self.variances + sigma**2)
         offset = (1.0 - gain) * self.means
-        flat = x.reshape(-1)
-        r, sums = _gmm_workspace(gain.size, flat.size)
-        self._log_weights(flat, sigma, out=r, powers=sums[:3])
-        r -= np.max(r, axis=0, out=sums[3])
-        np.exp(r, out=r)
+        coefficients = self._coefficients(sigma)
         moments = np.stack([np.ones_like(gain), offset, gain,
                             offset**2, 2.0 * offset * gain, gain**2])
-        total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = np.matmul(moments, r, out=sums)
-        # mean = (s_offset + x s_gain) / total
-        mean = np.multiply(flat, s_gain)
-        mean += s_offset
-        mean /= total
-        # factor = s_gain / total + max(spread, 0) / sigma^2, where
-        # spread = (s_sq + x (s_cross + x s_gain_sq)) / total - mean^2
-        factor = np.multiply(flat, s_gain_sq)
-        factor += s_cross
-        factor *= flat
-        factor += s_sq
-        factor /= total
-        factor -= np.square(mean, out=s_sq)
-        np.maximum(factor, 0.0, out=factor)
-        factor /= sigma**2
-        s_gain /= total
-        factor += s_gain
+        mean, factor = np.empty_like(flat), np.empty_like(flat)
+        blocks = max(1, -(-flat.size // _BLOCK))
+        bounds = [flat.size * i // blocks for i in range(blocks + 1)]
+        width = min(_BLOCK, flat.size)
+        r_scratch, sums_scratch = np.empty(gain.size * width), np.empty(6 * width)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            xs, m, f = flat[start:stop], mean[start:stop], factor[start:stop]
+            # Prefixes of the scratch keep a block one pixel short contiguous.
+            r = r_scratch[:gain.size * xs.size].reshape(gain.size, xs.size)
+            sums = sums_scratch[:6 * xs.size].reshape(6, xs.size)
+            sums[0] = 1.0
+            sums[1] = xs
+            np.multiply(xs, xs, out=sums[2])
+            np.matmul(coefficients, sums[:3], out=r)
+            r -= np.max(r, axis=0, out=sums[3])
+            np.exp(r, out=r)
+            total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = np.matmul(moments, r, out=sums)
+            # mean = (s_offset + x s_gain) / total
+            np.multiply(xs, s_gain, out=m)
+            m += s_offset
+            m /= total
+            # factor = s_gain / total + max(spread, 0) / sigma^2, where
+            # spread = (s_sq + x (s_cross + x s_gain_sq)) / total - mean^2
+            np.multiply(xs, s_gain_sq, out=f)
+            f += s_cross
+            f *= xs
+            f += s_sq
+            f /= total
+            f -= np.square(m, out=s_sq)
+            np.maximum(f, 0.0, out=f)
+            f /= sigma**2
+            s_gain /= total
+            f += s_gain
         return mean.reshape(x.shape), factor.reshape(x.shape)
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:
         x = np.asarray(x, dtype=np.float64)
-        log_w = self._log_weights(x.reshape(-1), sigma)
+        flat = x.reshape(-1)
+        log_w = self._coefficients(sigma) @ np.stack([np.ones_like(flat), flat, flat * flat])
         peak = log_w.max(axis=0)
         per_pixel = peak + np.log(np.exp(log_w - peak).sum(axis=0))
         return float(per_pixel.sum()) - 0.5 * _LOG_2PI * x.size

@@ -34,7 +34,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from pnpdm.images import MAX_DIM, as_image
+from pnpdm.images import MAX_DIM, as_encodable, as_image
 
 MAGIC = b"PNPD"
 FRAME_REQUEST = 1
@@ -70,14 +70,14 @@ class BridgeRemoteError(BridgeError):
 
 
 def encode_request(x: np.ndarray, sigma: float) -> bytes:
-    x = as_image(x)
+    x = as_encodable(x)
     h, w = x.shape
     return (_PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", float(sigma))
             + _DIMS.pack(h, w) + x.astype("<f4").tobytes())
 
 
 def encode_response(img: np.ndarray) -> bytes:
-    img = as_image(img)
+    img = as_encodable(img)
     h, w = img.shape
     return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(h, w) \
         + img.astype("<f4").tobytes()

@@ -43,9 +43,17 @@ def as_image(data) -> np.ndarray:
     return img
 
 
+def as_encodable(data) -> np.ndarray:
+    """``as_image`` of at most MAX_DIM rows and columns, as the decoders accept."""
+    img = as_image(data)
+    if max(img.shape) > MAX_DIM:
+        raise ValueError(f"image dims must be <= {MAX_DIM}, got {img.shape}")
+    return img
+
+
 def write_image(path, img) -> None:
-    """Write ``img`` to ``path`` as PNPI."""
-    img = as_image(img)
+    """Write ``img`` to ``path`` as PNPI; nothing is written if it is refused."""
+    img = as_encodable(img)
     h, w = img.shape
     Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, h, w, 0) + img.astype("<f4").tobytes())
 

@@ -116,8 +116,8 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
     also carries the probe's input x + eps before it is drawn.  Neither z nor
     any array a denoiser returns is written, so a denoiser may return an
     array it keeps.  The buffers live until the call returns; the returned
-    sample is a new array.  A ``GmmPrior`` denoiser adds its own per-thread
-    workspace of (K + 6)·N·8 bytes, which outlives the call (see
+    sample is a new array.  A ``GmmPrior`` denoiser adds block scratch of
+    (K + 6)·min(N, _BLOCK)·8 bytes per call, freed on its return (see
     ``GmmPrior.denoise_with_tweedie``).
     """
     z = np.asarray(z, dtype=np.float64)

@@ -56,6 +56,28 @@ def test_gaussian_validation():
         GaussianPrior(mean=0.0, variance=0.0)
 
 
+@pytest.mark.parametrize("mean,variance", [
+    (0.0, np.nan), (0.0, np.inf), (np.nan, 0.1), (np.inf, 0.1),
+    (np.array([0.0, -np.inf]), 0.1), (0.0, np.array([0.1, np.nan])),
+])
+def test_gaussian_rejects_non_finite_parameters(mean, variance):
+    with pytest.raises(ValueError, match="finite"):
+        GaussianPrior(mean=mean, variance=variance)
+
+
+@pytest.mark.parametrize("weights,means,variances", [
+    ([np.nan, 1.0], [0.0, 1.0], [0.01, 0.01]),
+    ([np.inf, 1.0], [0.0, 1.0], [0.01, 0.01]),
+    ([1.0, 1.0], [0.0, np.nan], [0.01, 0.01]),
+    ([1.0, 1.0], [-np.inf, 1.0], [0.01, 0.01]),
+    ([1.0, 1.0], [0.0, 1.0], [np.inf, 0.01]),
+    ([1.0, 1.0], [0.0, 1.0], [0.01, np.nan]),
+])
+def test_gmm_rejects_non_finite_parameters(weights, means, variances):
+    with pytest.raises(ValueError, match="finite"):
+        GmmPrior(weights=weights, means=means, variances=variances)
+
+
 def _quadrature_posterior(prior: GmmPrior, y: float, sigma: float) -> tuple[float, float]:
     """Direct 1-D quadrature of E[x0 | x0 + sigma eps = y] and Var[x0 | ...]."""
     lo = min(prior.means.min(), y) - 8 * (np.sqrt(prior.variances.max()) + sigma)
@@ -153,10 +175,10 @@ def _ten_component_prior() -> GmmPrior:
                     variances=np.linspace(0.002, 0.01, 10))
 
 
-def test_gmm_workspace_is_per_thread_and_never_returned():
+def test_gmm_threads_get_serial_bits_and_results_share_no_memory():
     """Threads denoising at once, at two image sizes and two threads per size,
     get the bits of serial calls; a later call leaves earlier results intact,
-    and no result shares memory with the workspace."""
+    and results share memory with neither each other nor the input."""
     prior = _ten_component_prior()
     rng = np.random.default_rng(5)
     inputs = [rng.uniform(-0.3, 1.3, size=(side, side)) for side in (64, 96, 64, 96)]
@@ -191,14 +213,15 @@ def test_gmm_workspace_is_per_thread_and_never_returned():
     kept = [a.copy() for a in first]
     second = prior.denoise_with_tweedie(x + 0.1, 0.05)
     assert all(np.array_equal(a, b) for a, b in zip(first, kept))
-    workspace = analytic._gmm_workspace(prior.weights.size, x.size)
-    for result in (*first, *second):
-        assert not any(np.shares_memory(result, buffer) for buffer in workspace)
+    results = (*first, *second)
+    for i, result in enumerate(results):
+        assert not np.shares_memory(result, x)
+        assert not any(np.shares_memory(result, other) for other in results[i + 1:])
 
 
 def test_gmm_warm_pass_allocates_less_than_the_responsibilities():
-    """Once this thread's workspace exists, a pass at 128^2 with K = 10 peaks
-    well under one (K, N) array: only the mean and the factor are new."""
+    """A second pass at 128^2 with K = 10 peaks well under one (K, N) array:
+    beside the mean and the factor it allocates only its block scratch."""
     prior = _ten_component_prior()
     x = np.random.default_rng(6).uniform(-0.3, 1.3, size=(128, 128))
     prior.denoise_with_tweedie(x, 0.1)
@@ -209,6 +232,63 @@ def test_gmm_warm_pass_allocates_less_than_the_responsibilities():
     finally:
         tracemalloc.stop()
     assert peak < prior.weights.size * x.size * 8
+
+
+def test_gmm_pass_retains_nothing():
+    """After a call, only its two results remain allocated: the block scratch
+    is freed on return, and nothing is cached for the next call."""
+    prior = _ten_component_prior()
+    x = np.random.default_rng(8).uniform(-0.3, 1.3, size=(97, 83))
+    tracemalloc.start()
+    try:
+        mean, factor = prior.denoise_with_tweedie(x, 0.1)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current - mean.nbytes - factor.nbytes <= 4096
+
+
+def _direct_gmm_posterior(prior: GmmPrior, x: np.ndarray,
+                          sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and Var / sigma^2 per pixel, by a broadcast (N, K)
+    log-sum-exp over the components."""
+    flat = x.reshape(-1, 1)
+    var = prior.variances + sigma**2
+    log_w = (np.log(prior.weights) - 0.5 * np.log(2 * np.pi * var)
+             - 0.5 * (flat - prior.means) ** 2 / var)
+    r = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    r /= r.sum(axis=1, keepdims=True)
+    gain = prior.variances / var
+    m = (1 - gain) * prior.means + gain * flat
+    mean = np.sum(r * m, axis=1, keepdims=True)
+    factor = np.sum(r * (gain + (m - mean) ** 2 / sigma**2), axis=1)
+    return mean.reshape(x.shape), factor.reshape(x.shape)
+
+
+_B = analytic._BLOCK
+
+
+@pytest.mark.parametrize("shape", [(1, _B - 1), (1, _B), (1, _B + 1), (2 * _B + 1, 1),
+                                   (1, 1), (97, 83)],
+                         ids=["B-1", "B", "B+1", "2B+1", "1x1", "97x83"])
+def test_gmm_blocks_match_the_direct_formula_and_one_block(shape, monkeypatch):
+    """Block edges change no bit, and every pixel matches the direct formula.
+
+    The factor is Var[x0 | x] / sigma^2 with Var from the one-pass sums, whose
+    rounding error (about 1e-15 here) the division by sigma^2 amplifies, so
+    the factor is checked as the variance sigma^2 * factor.
+    """
+    prior = _ten_component_prior()
+    x = np.random.default_rng(9).uniform(-0.3, 1.3, size=shape)
+    for sigma in (0.02, 0.1, 0.5):
+        mean, factor = prior.denoise_with_tweedie(x, sigma)
+        expected_mean, expected_factor = _direct_gmm_posterior(prior, x, sigma)
+        assert np.max(np.abs(mean - expected_mean)) < 1e-12
+        assert np.max(np.abs(factor - expected_factor)) * sigma**2 < 1e-14
+        with monkeypatch.context() as m:
+            m.setattr(analytic, "_BLOCK", x.size)
+            one_mean, one_factor = prior.denoise_with_tweedie(x, sigma)
+        assert np.array_equal(mean, one_mean) and np.array_equal(factor, one_factor)
 
 
 def test_gmm_log_density_matches_direct_logsumexp():

@@ -25,6 +25,7 @@ from pnpdm.bridge import (
     encode_response,
     read_frame,
 )
+from pnpdm.images import MAX_DIM
 
 HELPER = [sys.executable, "-m", "pnpdm.bridge_helper"]
 
@@ -49,6 +50,16 @@ def test_response_and_error_frame_round_trip():
     kind, message = read_frame(io.BytesIO(encode_error("denoiser busted")))
     assert kind == FRAME_ERROR
     assert message == "denoiser busted"
+
+
+@pytest.mark.parametrize("encode", [lambda img: encode_request(img, 0.25), encode_response],
+                         ids=["request", "response"])
+def test_encoders_refuse_what_read_frame_refuses(encode):
+    frame = read_frame(io.BytesIO(encode(np.zeros((MAX_DIM, 1)))))
+    assert frame[1].shape == (MAX_DIM, 1)
+    for shape in [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)]:
+        with pytest.raises(ValueError, match=f"<= {MAX_DIM}"):
+            encode(np.zeros(shape))
 
 
 def test_read_frame_eof_and_truncation():

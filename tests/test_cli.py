@@ -200,10 +200,9 @@ _BRIDGE_HELPER = shlex.join([sys.executable, "-m", "pnpdm.bridge_helper", "--pri
     ("kind = gmm\nmeans = 0.2,0.7\nweights = 1,1\nvariances = 0.002,0.002", 3),
 ], ids=["bridge", "gmm"])
 def test_reconstruct_bridge_multi_chain_threads(tmp_path, prior_lines, chains):
-    """Chains sharing one bridge, or one GMM prior with its per-thread
-    workspace, finish under every thread count up to the chain count and
-    write the same bytes as the serial run (run in a subprocess so a hang
-    fails)."""
+    """Chains sharing one bridge, or one GMM prior, finish under every thread
+    count up to the chain count and write the same bytes as the serial run
+    (run in a subprocess so a hang fails)."""
     cfg = _reconstruct_config(tmp_path, prior_lines, run_lines=f"chains = {chains}", size=32)
     src = str(Path(pnpdm.__file__).resolve().parents[1])
     env = dict(os.environ,

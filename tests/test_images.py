@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pnpdm.images import (
     FLOAT_MAGIC,
+    MAX_DIM,
     ImageFormatError,
     as_image,
     read_image,
@@ -84,6 +85,21 @@ def test_float_dimension_bounds(tmp_path):
     path.write_bytes(raw + b"\x00" * 64)
     with pytest.raises(ImageFormatError):
         read_image(path)
+
+
+def test_largest_dimension_round_trips(tmp_path):
+    path = tmp_path / "tall.pnpi"
+    img = np.arange(MAX_DIM, dtype=np.float64).reshape(MAX_DIM, 1)
+    write_image(path, img)
+    assert np.array_equal(read_image(path), img)
+
+
+@pytest.mark.parametrize("shape", [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)])
+def test_write_refuses_what_read_refuses(tmp_path, shape):
+    path = tmp_path / "big.pnpi"
+    with pytest.raises(ValueError, match=f"<= {MAX_DIM}"):
+        write_image(path, np.zeros(shape))
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad,index", [(np.nan, 5), (-np.inf, 9)])
