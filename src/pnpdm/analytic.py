@@ -85,8 +85,10 @@ class GmmPrior:
         c = np.asarray(self.variances, dtype=np.float64)
         if w.ndim != 1 or w.size < 1 or mu.shape != w.shape or c.shape != w.shape:
             raise ValueError("weights, means, variances must be equal-length 1-D")
-        if not (np.all((w > 0) & (w < np.inf) & (c > 0) & (c < np.inf)) and np.isfinite(mu).all()):
-            raise ValueError("weights and variances must be finite and > 0, means finite")
+        total = sum(w.tolist())  # a Python sum overflows to inf without a warning
+        if not (np.all((w > 0) & (c > 0) & (c < np.inf)) and np.isfinite([total, *mu]).all()):
+            raise ValueError("weights, their sum and variances must be finite and > 0, "
+                             "means finite")
         object.__setattr__(self, "weights", w / w.sum())
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "variances", c)

@@ -29,7 +29,7 @@ from pathlib import Path
 from pnpdm.analytic import GaussianPrior, GmmPrior
 from pnpdm.bridge import BridgeConfig, BridgeDenoiser, BridgeError
 from pnpdm.config import ConfigError, boolean, finite_float, float_list, read_config
-from pnpdm.images import read_image, write_image
+from pnpdm.images import MAX_DIM, read_image, write_image
 from pnpdm.likelihood import LikelihoodModel, data_fidelity
 from pnpdm.metrics import psnr, ssim
 from pnpdm.operators import block_average_downsample
@@ -159,15 +159,15 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     if "input" not in io:
         raise ConfigError("io.input is required for reconstruct")
     output_path = Path(io.get("output", "reconstruction.pnpi"))
-    log_path = io.get("log")
-    samples_dir = io.get("samples_dir")
+    log_path = Path(io["log"]) if "log" in io else None
+    samples_dir = Path(io["samples_dir"]) if "samples_dir" in io else None
     # paths the run cannot write fail now, not after every chain has run
     for key, path in (("output", output_path), ("log", log_path)):
-        if path is not None and Path(path).is_dir():
+        if path is not None and path.is_dir():
             raise IsADirectoryError(errno.EISDIR, f"io.{key} is a directory", str(path))
-    if samples_dir is not None and Path(samples_dir).exists() and not Path(samples_dir).is_dir():
+    if samples_dir is not None and samples_dir.exists() and not samples_dir.is_dir():
         raise NotADirectoryError(errno.ENOTDIR, "io.samples_dir is not a directory",
-                                 samples_dir)
+                                 str(samples_dir))
 
     measurement = read_image(io["input"])
     factor = cfg["measurement"].get("factor", 4)
@@ -176,6 +176,9 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     model = _build("measurement", LikelihoodModel, operator=operator,
                    noise_sigma=cfg["measurement"].get("sigma_y", 0.03),
                    measurement=measurement)
+    if max(operator.in_shape) > MAX_DIM:  # refused before the start image is allocated
+        raise ValueError(f"io.output: a {operator.in_shape} reconstruction exceeds the "
+                         f"PNPI limit of {MAX_DIM} rows and columns")
 
     schedule = _build("schedule", AnnealSchedule, **cfg["schedule"])
     sde_keys = {"num_steps" if k == "steps" else k: v for k, v in cfg["sde"].items()}
@@ -206,6 +209,11 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
         return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)
 
     try:
+        # directories are made once the run is set up, so a path that cannot
+        # be one fails before any chain runs
+        for directory in (output_path.parent, log_path and log_path.parent, samples_dir):
+            if directory is not None:
+                directory.mkdir(parents=True, exist_ok=True)
         if chains == 1 or threads <= 1:
             results = [one_chain(i) for i in range(chains)]
         else:
@@ -216,16 +224,11 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
 
     all_samples = [s for samples, _ in results for s in samples]
     mean = sample_mean(all_samples)
-    output_path.parent.mkdir(parents=True, exist_ok=True)
     write_image(output_path, mean)
     if samples_dir is not None:
-        sample_root = Path(samples_dir)
-        sample_root.mkdir(parents=True, exist_ok=True)
         for i, sample in enumerate(all_samples):
-            write_image(sample_root / f"sample_{i:05d}.pnpi", sample)
+            write_image(samples_dir / f"sample_{i:05d}.pnpi", sample)
     if log_path is not None:
-        log_path = Path(log_path)
-        log_path.parent.mkdir(parents=True, exist_ok=True)
         log_path.write_text(
             "# q\trho\tdata_fidelity\n" + "\n".join(log_lines) + "\n", encoding="utf-8"
         )

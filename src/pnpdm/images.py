@@ -51,11 +51,23 @@ def as_encodable(data) -> np.ndarray:
     return img
 
 
+def check_finite(img: np.ndarray, what: str) -> None:
+    """``ValueError`` naming the (row, col) of the first NaN or infinite pixel."""
+    finite = np.isfinite(img)
+    if not finite.all():
+        index = np.unravel_index(int(np.argmin(finite)), img.shape)
+        raise ValueError(f"{what} has a non-finite pixel at {tuple(map(int, index))}")
+
+
 def write_image(path, img) -> None:
-    """Write ``img`` to ``path`` as PNPI; nothing is written if it is refused."""
+    """Write ``img`` to ``path`` as PNPI; nothing is written if it is refused:
+    a side above MAX_DIM, or a pixel that is not finite once cast to f32."""
     img = as_encodable(img)
+    with np.errstate(over="ignore"):  # a finite value beyond the f32 range becomes inf
+        pixels = img.astype("<f4")
+    check_finite(pixels, "image as f32")
     h, w = img.shape
-    Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, h, w, 0) + img.astype("<f4").tobytes())
+    Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, h, w, 0) + pixels.tobytes())
 
 
 def read_image(path) -> np.ndarray:

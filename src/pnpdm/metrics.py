@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from pnpdm.images import as_image
+from pnpdm.images import as_image, check_finite
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -31,11 +31,8 @@ def _check_pair(ref, test) -> tuple[np.ndarray, np.ndarray]:
     test = as_image(test)
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {test.shape}")
-    for name, img in (("ref", ref), ("test", test)):
-        finite = np.isfinite(img)
-        if not finite.all():
-            index = np.unravel_index(int(np.argmin(finite)), img.shape)
-            raise ValueError(f"{name} image has a non-finite pixel at {tuple(map(int, index))}")
+    check_finite(ref, "ref image")
+    check_finite(test, "test image")
     return ref, test
 
 
@@ -162,6 +159,4 @@ def bicubic_upsample(lr, f: int) -> np.ndarray:
     lr = as_image(lr)
     if f < 1:
         raise ValueError(f"factor must be >= 1, got {f}")
-    if f == 1:
-        return lr.copy()
     return _upsample_axis0(_upsample_axis0(lr, f).T, f).T

@@ -81,7 +81,4 @@ def degrade(clean_hr, f: int, sigma_y: float, seed: int) -> np.ndarray:
     clean_hr = as_image(clean_hr)
     op = block_average_downsample(f, *clean_hr.shape)
     lr = op.apply(clean_hr)
-    if sigma_y > 0:
-        rng = np.random.default_rng(seed)
-        lr = lr + sigma_y * rng.standard_normal(lr.shape)
-    return lr
+    return lr + sigma_y * np.random.default_rng(seed).standard_normal(lr.shape)

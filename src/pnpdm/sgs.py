@@ -35,8 +35,6 @@ class AnnealSchedule:
 
     def clamp_iteration(self) -> int:
         """First q at which the floor engages."""
-        if self.rho0 == self.rho_min:
-            return 0
         return math.ceil(math.log(self.rho_min / self.rho0) / math.log(self.alpha))
 
 

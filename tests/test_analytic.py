@@ -72,6 +72,7 @@ def test_gaussian_rejects_non_finite_parameters(mean, variance):
     ([1.0, 1.0], [-np.inf, 1.0], [0.01, 0.01]),
     ([1.0, 1.0], [0.0, 1.0], [np.inf, 0.01]),
     ([1.0, 1.0], [0.0, 1.0], [0.01, np.nan]),
+    ([1e308, 1e308], [0.0, 1.0], [0.01, 0.01]),  # each finite, their sum not
 ])
 def test_gmm_rejects_non_finite_parameters(weights, means, variances):
     with pytest.raises(ValueError, match="finite"):

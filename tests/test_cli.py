@@ -2,6 +2,7 @@
 
 import os
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import pnpdm.cli
 from pnpdm.cli import EXIT_BRIDGE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from pnpdm.images import read_image, write_image
+from pnpdm.images import FLOAT_MAGIC, MAX_DIM, read_image, write_image
 from pnpdm.sgs import AnnealSchedule, rho_at
 
 
@@ -270,29 +271,51 @@ def test_reconstruct_samples_dir(tmp_path):
     assert read_image(samples[0]).shape == (16, 16)
 
 
+def _no_chain(*args, **kwargs):
+    raise AssertionError("a chain ran")
+
+
+def _file_parent(path):
+    """Make path a file and return a path below it, whose directory cannot be made."""
+    path.touch()
+    return path / "sub"
+
+
 @pytest.mark.parametrize("key, make, message", [
     ("output", Path.mkdir, "io.output is a directory"),
     ("log", Path.mkdir, "io.log is a directory"),
     ("samples_dir", Path.touch, "io.samples_dir is not a directory"),
+    ("output", _file_parent, "File exists"),
+    ("log", _file_parent, "File exists"),
+    ("samples_dir", _file_parent, "Not a directory"),
 ])
 def test_reconstruct_unwritable_path_fails_before_any_chain(tmp_path, capsys, monkeypatch,
                                                             key, make, message):
-    def no_chain(*args, **kwargs):
-        raise AssertionError("a chain ran")
-
-    monkeypatch.setattr(pnpdm.cli, "run_chain", no_chain)
+    monkeypatch.setattr(pnpdm.cli, "run_chain", _no_chain)
     cfg = _reconstruct_config(tmp_path, "kind = gaussian", log=False)
     target = tmp_path / "taken"
-    make(target)
+    path = make(target) or target
     text = cfg.read_text(encoding="utf-8")
     if key == "output":
-        text = text.replace(f"output = {tmp_path / 'rec.pnpi'}", f"output = {target}")
+        text = text.replace(f"output = {tmp_path / 'rec.pnpi'}", f"output = {path}")
     else:
-        text = text.replace("[io]", f"[io]\n{key} = {target}")
+        text = text.replace("[io]", f"[io]\n{key} = {path}")
     cfg.write_text(text, encoding="utf-8")
     assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
     err = capsys.readouterr().err
     assert message in err and str(target) in err
+
+
+def test_reconstruct_too_large_fails_before_any_chain(tmp_path, capsys, monkeypatch):
+    """A reconstruction write_image would refuse is refused before the start
+    image is allocated."""
+    monkeypatch.setattr(pnpdm.cli, "run_chain", _no_chain)
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian", log=False)
+    write_image(tmp_path / "lr.pnpi", np.full((MAX_DIM // 2 + 1, 1), 0.5))  # factor 2
+    assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert "io.output" in err and f"({MAX_DIM + 2}, 2)" in err
+    assert not (tmp_path / "rec.pnpi").exists()
 
 
 def test_reconstruct_bad_prior_kind(tmp_path, capsys):
@@ -326,11 +349,14 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "steps = 6", "steps = 6\nstochastic = false"),
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = true"),
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = false"),
+    ("reconstruct", "kind = gaussian", "kind = gmm\nmeans = 0.2,0.7\nweights = 1e308,1e308"),
+    ("simulate", "sigma_y = 0.03\nseed = 9", "sigma_y = 0\nseed = -1"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
         "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-7", "variance-nan",
         "rho0-inf", "variance-zero", "bridge-timeout", "bridge-timeout-huge", "bridge-command",
         "key-of-other-kind", "simulate-sigma_y-negative", "simulate-phantom-seed-negative",
-        "run-seed-negative", "stochastic-false", "restart_on_crash-true", "restart_on_crash-false"])
+        "run-seed-negative", "stochastic-false", "restart_on_crash-true", "restart_on_crash-false",
+        "gmm-weight-sum-inf", "simulate-noiseless-seed-negative"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))
@@ -370,8 +396,9 @@ def test_threads_below_one_is_usage_error(tmp_path, capsys, threads):
 def test_reconstruct_non_finite_input_is_runtime_error(tmp_path, capsys):
     cfg = _reconstruct_config(tmp_path, "kind = gaussian")
     lr = read_image(tmp_path / "lr.pnpi")
-    lr[3, 2] = np.nan
-    write_image(tmp_path / "lr.pnpi", lr)
+    lr[3, 2] = np.nan  # write_image refuses it, so the file is made by hand
+    (tmp_path / "lr.pnpi").write_bytes(struct.pack("<4sIII", FLOAT_MAGIC, *lr.shape, 0)
+                                       + lr.astype("<f4").tobytes())
     assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
     assert "non-finite pixel" in capsys.readouterr().err
     assert not (tmp_path / "rec.pnpi").exists()

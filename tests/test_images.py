@@ -1,5 +1,7 @@
 """Image container and file-format round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,8 +69,6 @@ def test_float_bytes_after_pixels_are_rejected(tmp_path):
 
 
 def test_float_reserved_word_must_be_zero(tmp_path):
-    import struct
-
     raw = struct.pack("<4sIII", FLOAT_MAGIC, 1, 1, 5) + b"\x00" * 4
     path = tmp_path / "r.pnpi"
     path.write_bytes(raw)
@@ -78,8 +78,6 @@ def test_float_reserved_word_must_be_zero(tmp_path):
 
 
 def test_float_dimension_bounds(tmp_path):
-    import struct
-
     raw = struct.pack("<4sIII", FLOAT_MAGIC, 1 << 20, 1, 0)
     path = tmp_path / "d.pnpi"
     path.write_bytes(raw + b"\x00" * 64)
@@ -94,11 +92,16 @@ def test_largest_dimension_round_trips(tmp_path):
     assert np.array_equal(read_image(path), img)
 
 
-@pytest.mark.parametrize("shape", [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)])
-def test_write_refuses_what_read_refuses(tmp_path, shape):
+@pytest.mark.parametrize("img,message", [
+    (np.zeros((MAX_DIM + 1, 1)), f"<= {MAX_DIM}"),
+    (np.zeros((1, MAX_DIM + 1)), f"<= {MAX_DIM}"),
+    (np.full((2, 2), np.nan), r"non-finite pixel at \(0, 0\)"),
+    (np.array([[0.0, 0.0], [0.0, 1e39]]), r"non-finite pixel at \(1, 1\)"),  # inf as f32
+], ids=["shape0", "shape1", "nan", "beyond-f32"])
+def test_write_refuses_what_read_refuses(tmp_path, img, message):
     path = tmp_path / "big.pnpi"
-    with pytest.raises(ValueError, match=f"<= {MAX_DIM}"):
-        write_image(path, np.zeros(shape))
+    with pytest.raises(ValueError, match=message):
+        write_image(path, img)
     assert not path.exists()
 
 
@@ -108,7 +111,8 @@ def test_float_non_finite_pixel_is_rejected(tmp_path, bad, index):
     img.flat[index] = bad
     img.flat[-1] = np.inf  # only the first defect is reported
     path = tmp_path / "n.pnpi"
-    write_image(path, img)
+    # write_image refuses such a file, so it is made by hand
+    path.write_bytes(struct.pack("<4sIII", FLOAT_MAGIC, 4, 4, 0) + img.astype("<f4").tobytes())
     with pytest.raises(ImageFormatError) as exc:
         read_image(path)
     assert exc.value.offset == 16 + 4 * index

@@ -1,5 +1,5 @@
 """Import hygiene: every name a module imports is used in that module, and
-the package exports exactly the names its `__init__` imports."""
+every name is imported from the module it lives in, never the package root."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,8 @@ import pytest
 
 import pnpdm
 
-MODULES = sorted(p for p in Path(pnpdm.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(pnpdm.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def imported_names(source: str) -> list[str]:
@@ -39,8 +39,16 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_package_exports_are_exactly_its_imports():
-    init = Path(pnpdm.__file__).read_text(encoding="utf-8")
-    assert sorted(pnpdm.__all__) == sorted(imported_names(init))
-    for name in pnpdm.__all__:
-        assert getattr(pnpdm, name, None) is not None, name
+def test_names_are_imported_only_from_their_modules():
+    """The package root is its docstring alone: it imports nothing and binds
+    no name, so every `from pnpdm import X` in the repo names a module."""
+    init = ast.parse(Path(pnpdm.__file__).read_text(encoding="utf-8"))
+    assert ast.get_docstring(init) and len(init.body) == 1
+    with pytest.raises(ImportError):
+        exec("from pnpdm import run_chain", {})
+    root = PACKAGE.parents[1]
+    for path in sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "pnpdm" and not node.level:
+                for alias in node.names:
+                    assert (PACKAGE / f"{alias.name}.py").is_file(), f"{path}: {alias.name}"
