@@ -20,6 +20,18 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # numpy calls, each of which takes the GIL, which slows chains on threads.
 _BLOCK = 7168
 
+# Floor of the max-shifted log-weights in the fused GMM pass.  exp of a value
+# below about -708 is a subnormal float, on which numpy's exp and the moments
+# product run many times slower; at small sigma, where the EDM grid spends most
+# of its steps, the log-weights of components far from a pixel fall that low,
+# and a few percent of them slow a whole block.  The floor is low enough to
+# change no bit of any sum: K·e^-600 lies far below half an ulp of each sum's
+# leading term, the component whose responsibility is exactly 1 (for any
+# leading term above 1e-243 of the largest entry in its row of moments).  It
+# is high enough that e^-600 ≈ 2.7e-261 times any moment entry above 1e-47 is
+# still a normal float.
+_LOG_FLOOR = -600.0
+
 
 def _check_sigma(sigma: float) -> None:
     if not 0.0 < sigma < np.inf:
@@ -114,14 +126,18 @@ class GmmPrior:
         The (K, N) log-weights are one (K, 3) @ (3, N) product of
         ``_coefficients`` and the powers (1, x, x^2).  Component k's
         posterior mean m_k = (1 - g_k) mu_k + g_k x, g_k = c_k / (c_k + sigma^2),
-        is linear in x, so after the max-subtract and exp one (6, K) @ (K, N)
-        product of the responsibilities r_k gives every sum that
+        is linear in x, so after the max-subtract, the floor at ``_LOG_FLOOR``
+        and exp, one (6, K) @ (K, N) product of the responsibilities r_k gives
+        every sum that
 
             E[x0 | x] = sum_k r_k m_k / sum_k r_k
             Var[x0 | x] = sigma^2 sum_k r_k g_k / sum_k r_k
                           + sum_k r_k m_k^2 / sum_k r_k - E[x0 | x]^2
 
-        needs.
+        needs.  The floor changes no result: a floored responsibility is below
+        half an ulp of every sum's leading term.  It keeps every r_k and every
+        product in the sums a normal float, so a call costs the same at every
+        sigma instead of slowing on subnormals as sigma falls.
 
         The pass walks the flat image in ceil(N / _BLOCK) blocks of near-equal
         width, so no one-pixel block follows wider ones: numpy would send its
@@ -154,6 +170,7 @@ class GmmPrior:
             np.multiply(xs, xs, out=sums[2])
             np.matmul(coefficients, sums[:3], out=r)
             r -= np.max(r, axis=0, out=sums[3])
+            np.maximum(r, _LOG_FLOOR, out=r)
             np.exp(r, out=r)
             total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = np.matmul(moments, r, out=sums)
             # mean = (s_offset + x s_gain) / total

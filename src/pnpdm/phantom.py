@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pnpdm.images import as_image
+from pnpdm.images import MAX_DIM, as_image
 from pnpdm.operators import block_average_downsample
 
 
@@ -39,8 +39,10 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ValueError(f"dims must be >= 1, got {self.height}x{self.width}")
+        # a side PNPI cannot hold is refused before any image is built
+        for name, side in (("height", self.height), ("width", self.width)):
+            if not 1 <= side <= MAX_DIM:
+                raise ValueError(f"{name} must be in [1, {MAX_DIM}], got {side}")
         if self.speckle_shape <= 0:
             raise ValueError(f"speckle_shape must be > 0, got {self.speckle_shape}")
         if not 0.0 <= self.background <= 1.0:

@@ -16,6 +16,8 @@ from pnpdm.analytic import (
 )
 from pnpdm.likelihood import LikelihoodModel
 from pnpdm.operators import block_average_downsample
+from pnpdm.prior_step import SdeConfig, sigma_grid
+from test_acceptance import _a3_prior
 
 
 def test_gaussian_denoise_closed_form():
@@ -273,23 +275,43 @@ _B = analytic._BLOCK
                                    (1, 1), (97, 83)],
                          ids=["B-1", "B", "B+1", "2B+1", "1x1", "97x83"])
 def test_gmm_blocks_match_the_direct_formula_and_one_block(shape, monkeypatch):
-    """Block edges change no bit, and every pixel matches the direct formula.
+    """Block edges change no bit, and every pixel matches the direct formula,
+    over the refine's clamp range and down to sigma below A3's floor of
+    0.008, where A3's narrow prior floors about a quarter of its log-weights.
 
     The factor is Var[x0 | x] / sigma^2 with Var from the one-pass sums, whose
     rounding error (about 1e-15 here) the division by sigma^2 amplifies, so
     the factor is checked as the variance sigma^2 * factor.
     """
-    prior = _ten_component_prior()
-    x = np.random.default_rng(9).uniform(-0.3, 1.3, size=shape)
-    for sigma in (0.02, 0.1, 0.5):
-        mean, factor = prior.denoise_with_tweedie(x, sigma)
-        expected_mean, expected_factor = _direct_gmm_posterior(prior, x, sigma)
-        assert np.max(np.abs(mean - expected_mean)) < 1e-12
-        assert np.max(np.abs(factor - expected_factor)) * sigma**2 < 1e-14
-        with monkeypatch.context() as m:
-            m.setattr(analytic, "_BLOCK", x.size)
-            one_mean, one_factor = prior.denoise_with_tweedie(x, sigma)
-        assert np.array_equal(mean, one_mean) and np.array_equal(factor, one_factor)
+    x = np.random.default_rng(9).uniform(-0.5, 1.5, size=shape)
+    for prior in (_ten_component_prior(), _a3_prior()):
+        for sigma in (0.002, 0.008, 0.02, 0.1, 0.5):
+            mean, factor = prior.denoise_with_tweedie(x, sigma)
+            expected_mean, expected_factor = _direct_gmm_posterior(prior, x, sigma)
+            assert np.max(np.abs(mean - expected_mean)) < 1e-12
+            assert np.max(np.abs(factor - expected_factor)) * sigma**2 < 1e-14
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "_BLOCK", x.size)
+                one_mean, one_factor = prior.denoise_with_tweedie(x, sigma)
+            assert np.array_equal(mean, one_mean) and np.array_equal(factor, one_factor)
+
+
+def test_gmm_log_floor_changes_no_bit_on_the_a3_grid(monkeypatch):
+    """Flooring the shifted log-weights at ``_LOG_FLOOR`` gives the bits of
+    the unfloored pass (a floor of -inf) for A3's prior at every sigma of
+    A3's grid, over the refine's clamp range, where the floor is reached."""
+    prior = _a3_prior()
+    x = np.random.default_rng(12).uniform(-0.5, 1.5, size=(2 * _B + 1, 3))
+    grid = sigma_grid(0.04, SdeConfig(sigma_floor=0.008))
+    flat = x.reshape(-1)
+    log_w = prior._coefficients(grid[-1]) @ np.stack([np.ones_like(flat), flat, flat * flat])
+    assert np.mean(log_w - log_w.max(axis=0) < analytic._LOG_FLOOR) > 0.2
+    floored = [prior.denoise_with_tweedie(x, float(s)) for s in grid]
+    monkeypatch.setattr(analytic, "_LOG_FLOOR", -np.inf)
+    for sigma, (mean, factor) in zip(grid, floored):
+        exact_mean, exact_factor = prior.denoise_with_tweedie(x, float(sigma))
+        assert np.array_equal(mean, exact_mean), sigma
+        assert np.array_equal(factor, exact_factor), sigma
 
 
 def test_gmm_log_density_matches_direct_logsumexp():

@@ -318,6 +318,25 @@ def test_reconstruct_too_large_fails_before_any_chain(tmp_path, capsys, monkeypa
     assert not (tmp_path / "rec.pnpi").exists()
 
 
+@pytest.mark.parametrize("name", ["height", "width"])
+def test_simulate_too_large_phantom_fails_before_any_image(tmp_path, capsys, monkeypatch, name):
+    """A phantom side write_image would refuse is a config error: no image is
+    built and no output directory is made."""
+    def no_image(spec):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(pnpdm.cli, "generate_phantom", no_image)
+    cfg = _simulate_config(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    sides = {"height": (MAX_DIM + 4, 4), "width": (4, MAX_DIM + 4)}[name]
+    cfg.write_text(text.replace("height = 32\nwidth = 32\n",
+                                "height = {}\nwidth = {}\n".format(*sides)), encoding="utf-8")
+    assert main(["simulate", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error" in err and f"phantom: {name} must be in [1, {MAX_DIM}]" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     cfg = _reconstruct_config(tmp_path, "kind = wavelet")
     assert main(["reconstruct", str(cfg)]) == EXIT_USAGE
