@@ -13,28 +13,28 @@ Wire format, little-endian throughout:
 
 Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]);
 a frame holding a NaN or infinite pixel, or a bad sigma, is malformed.
-``read_frame`` is the one decoder, for servers and client alike.  A bridge
+``read_frame`` is the one decoder, for servers and client alike; the encoders
+raise ``ValueError`` for what it refuses, as ``write_image`` does.  A bridge
 instance is exclusive: strictly one request in flight.  Threads that share one
-instance take turns; each call holds a lock for its round trip.  A timeout or
-a malformed reply leaves the stream out of step, so the client then kills the
-server process.  Every failure, a command that cannot start included, raises
-a ``BridgeError``; nothing restarts a server that has gone.
+instance take turns; each call holds a lock for its round trip.  The timeout
+covers the whole round trip, sending the request and reading the reply; when
+it passes, the client kills the server.  A malformed reply leaves the stream
+out of step, so the client kills the server then too.  Every failure, a
+command that cannot start included, raises a ``BridgeError``; nothing
+restarts a server that has gone.
 """
 
 from __future__ import annotations
 
-import os
-import select
 import struct
 import subprocess
 import threading
-import time
 from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from pnpdm.images import MAX_DIM, as_encodable, as_image
+from pnpdm.images import MAX_DIM, as_image, encodable_pixels
 
 MAGIC = b"PNPD"
 FRAME_REQUEST = 1
@@ -70,17 +70,17 @@ class BridgeRemoteError(BridgeError):
 
 
 def encode_request(x: np.ndarray, sigma: float) -> bytes:
-    x = as_encodable(x)
-    h, w = x.shape
-    return (_PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", float(sigma))
-            + _DIMS.pack(h, w) + x.astype("<f4").tobytes())
+    sigma = float(sigma)
+    if not 0.0 < sigma < float("inf"):
+        raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
+    pixels = encodable_pixels(x)
+    return (_PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", sigma)
+            + _DIMS.pack(*pixels.shape) + pixels.tobytes())
 
 
 def encode_response(img: np.ndarray) -> bytes:
-    img = as_encodable(img)
-    h, w = img.shape
-    return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(h, w) \
-        + img.astype("<f4").tobytes()
+    pixels = encodable_pixels(img)
+    return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*pixels.shape) + pixels.tobytes()
 
 
 def encode_error(message: str) -> bytes:
@@ -137,33 +137,17 @@ def _read_pixels(stream: BinaryIO, h: int, w: int) -> np.ndarray:
 
 
 class _PipeReader:
-    """Blocking-stream view of a child's stdout for ``read_frame``.
+    """``read_frame``'s view of a child's stdout: a short read is the child
+    closing it, reported with the exit code of the reaped child."""
 
-    ``read(count)`` returns exactly ``count`` bytes, waiting with ``select``
-    against one deadline per reader, and never reads past them.
-    """
-
-    def __init__(self, proc: subprocess.Popen, timeout: float):
+    def __init__(self, proc: subprocess.Popen):
         self._proc = proc
-        self._timeout = timeout
-        self._deadline = time.monotonic() + timeout
 
-    def read(self, count: int) -> bytearray:
-        fd = self._proc.stdout.fileno()
-        data = bytearray()
-        while len(data) < count:
-            remaining = self._deadline - time.monotonic()
-            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
-                raise BridgeTimeoutError(f"no response within {self._timeout} s")
-            chunk = os.read(fd, count - len(data))
-            if not chunk:
-                # stdout closes as the child exits, a moment before it can be reaped
-                try:
-                    code = self._proc.wait(timeout=max(self._deadline - time.monotonic(), 0.0))
-                except subprocess.TimeoutExpired:
-                    code = None
-                raise BridgeProcessError(f"external process closed stdout (exit code {code})")
-            data += chunk
+    def read(self, count: int) -> bytes:
+        data = self._proc.stdout.read(count)
+        if len(data) < count:
+            raise BridgeProcessError(
+                f"external process closed stdout (exit code {self._proc.wait()})")
         return data
 
 
@@ -173,7 +157,7 @@ class BridgeConfig:
     timeout: float = 30.0
 
     def __post_init__(self):
-        # select() rejects a wait longer than the platform's largest timeout
+        # the watchdog's timer, like any lock wait, rejects a longer timeout
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise ValueError(
                 f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g} s, got {self.timeout}")
@@ -201,19 +185,32 @@ class BridgeDenoiser:
         x = as_image(x)
         with self._lock:
             self._ensure_alive()
+            proc = self._proc
+            expired = threading.Event()
+            # one deadline per round trip: the kill ends a blocked write or read
+            watchdog = threading.Timer(self.config.timeout, lambda: (expired.set(), proc.kill()))
+            watchdog.start()
             try:
-                self._proc.stdin.write(encode_request(x, sigma))
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
-            try:
-                frame = read_frame(_PipeReader(self._proc, self.config.timeout))
+                try:
+                    # unbound, so the request is freed before the reply is read:
+                    # holding it made a 1024² round trip about half again slower
+                    proc.stdin.write(encode_request(x, sigma))
+                    proc.stdin.flush()
+                    frame = read_frame(_PipeReader(proc))
+                finally:
+                    watchdog.cancel()
+                    watchdog.join()  # no kill lands after this line
                 if frame[0] == FRAME_REQUEST:
                     raise BridgeFrameError(f"unexpected frame type {frame[0]} from server")
-            except BridgeError:
+            except (BridgeError, OSError) as exc:
                 # a partial or unread reply would answer the next request
-                self._proc.kill()
-                self._proc.wait()
+                proc.kill()
+                proc.wait()
+                if expired.is_set():
+                    raise BridgeTimeoutError(
+                        f"no response within {self.config.timeout} s") from exc
+                if isinstance(exc, OSError):
+                    raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
                 raise
         if frame[0] == FRAME_ERROR:
             raise BridgeRemoteError(frame[1])
@@ -233,8 +230,7 @@ class BridgeDenoiser:
         if self._proc is None:
             return
         try:
-            if self._proc.stdin:
-                self._proc.stdin.close()
+            self._proc.stdin.close()
         except OSError:
             pass
         try:
@@ -242,6 +238,7 @@ class BridgeDenoiser:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdout.close()
         self._proc = None
 
     def __enter__(self):

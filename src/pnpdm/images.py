@@ -43,14 +43,6 @@ def as_image(data) -> np.ndarray:
     return img
 
 
-def as_encodable(data) -> np.ndarray:
-    """``as_image`` of at most MAX_DIM rows and columns, as the decoders accept."""
-    img = as_image(data)
-    if max(img.shape) > MAX_DIM:
-        raise ValueError(f"image dims must be <= {MAX_DIM}, got {img.shape}")
-    return img
-
-
 def check_finite(img: np.ndarray, what: str) -> None:
     """``ValueError`` naming the (row, col) of the first NaN or infinite pixel."""
     finite = np.isfinite(img)
@@ -59,14 +51,24 @@ def check_finite(img: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has a non-finite pixel at {tuple(map(int, index))}")
 
 
-def write_image(path, img) -> None:
-    """Write ``img`` to ``path`` as PNPI; nothing is written if it is refused:
-    a side above MAX_DIM, or a pixel that is not finite once cast to f32."""
-    img = as_encodable(img)
+def encodable_pixels(data) -> np.ndarray:
+    """``as_image`` cast to little-endian f32, as PNPI files and bridge frames
+    hold it; ``ValueError`` for what their decoders refuse: a side above
+    MAX_DIM, or a pixel that is not finite once cast to f32."""
+    img = as_image(data)
+    if max(img.shape) > MAX_DIM:
+        raise ValueError(f"image dims must be <= {MAX_DIM}, got {img.shape}")
     with np.errstate(over="ignore"):  # a finite value beyond the f32 range becomes inf
         pixels = img.astype("<f4")
     check_finite(pixels, "image as f32")
-    h, w = img.shape
+    return pixels
+
+
+def write_image(path, img) -> None:
+    """Write ``img`` to ``path`` as PNPI; nothing is written if
+    ``encodable_pixels`` refuses it."""
+    pixels = encodable_pixels(img)
+    h, w = pixels.shape
     Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, h, w, 0) + pixels.tobytes())
 
 

@@ -1,6 +1,7 @@
 """Framed stdio denoiser protocol: codec, loopback, fault injection."""
 
 import io
+import struct
 import subprocess
 import sys
 
@@ -60,6 +61,9 @@ def test_encoders_refuse_what_read_frame_refuses(encode):
     for shape in [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)]:
         with pytest.raises(ValueError, match=f"<= {MAX_DIM}"):
             encode(np.zeros(shape))
+    for img in (np.full((2, 2), np.nan), np.array([[0.0, 1e39]])):  # 1e39 is inf as f32
+        with pytest.raises(ValueError, match="non-finite pixel"):
+            encode(img)
 
 
 def test_read_frame_eof_and_truncation():
@@ -73,6 +77,9 @@ def test_read_frame_eof_and_truncation():
     truncated = encode_response(np.zeros((4, 4)))[:-6]
     with pytest.raises(BridgeFrameError):
         read_frame(io.BytesIO(truncated))
+    for h, w in [(0, 1), (1, MAX_DIM + 1)]:
+        with pytest.raises(BridgeFrameError, match="out of range"):
+            read_frame(io.BytesIO(MAGIC + struct.pack("<III", FRAME_RESPONSE, h, w)))
 
 
 def test_config_validation():
@@ -145,6 +152,32 @@ def test_slow_server_raises_timeout_error():
             bridge.denoise(np.zeros((2, 2)), 0.1)
 
 
+_STALLED_CLIENT = """
+import sys, time
+import numpy as np
+from pnpdm.bridge import BridgeConfig, BridgeDenoiser
+server = [sys.executable, "-c", "import time; time.sleep(60)"]
+with BridgeDenoiser(BridgeConfig(command=server, timeout=1.0)) as bridge:
+    for _ in range(2):
+        start = time.monotonic()
+        try:
+            bridge.denoise(np.zeros((256, 256)), 0.1)
+        except Exception as exc:
+            print(type(exc).__name__, time.monotonic() - start)
+"""
+
+
+def test_timeout_covers_sending_to_a_server_that_never_reads():
+    """A 256² request overfills the pipe to a server that never reads stdin;
+    the timeout ends the blocked write, and the killed server stays dead.
+    The client runs in a subprocess, so a hang fails the test."""
+    proc = subprocess.run([sys.executable, "-c", _STALLED_CLIENT], capture_output=True,
+                          text=True, timeout=30)
+    (first, elapsed), (second, _) = [line.split() for line in proc.stdout.splitlines()]
+    assert first == "BridgeTimeoutError" and float(elapsed) < 3.0
+    assert second == "BridgeProcessError"
+
+
 def test_timeout_stops_server_so_late_reply_is_not_read():
     """The late reply to a timed-out request must not answer the next one."""
     command = HELPER + ["--prior", "echo", "--delay", "0.5"]
@@ -156,9 +189,11 @@ def test_timeout_stops_server_so_late_reply_is_not_read():
 
 
 _REPLY_PRELUDE = (
-    "import os, sys, time\n"
+    "import os, struct, sys, time\n"
     "from pnpdm.bridge import encode_request, encode_response, read_frame\n"
     "_, img, sigma = read_frame(sys.stdin.buffer)\n"
+    "def raw_response(img):  # encode_response refuses a non-finite pixel\n"
+    "    return b'PNPD' + struct.pack('<III', 2, *img.shape) + img.astype('<f4').tobytes()\n"
 )
 
 
@@ -174,10 +209,10 @@ _REPLY_PRELUDE = (
      "sys.stdin.buffer.read()\n", BridgeFrameError),
     ("os.write(1, b'PNPD' + (2).to_bytes(4, 'little'))\n", BridgeProcessError),
     ("img[1, 2] = float('inf')\n"
-     "os.write(1, encode_response(img))\n"
+     "os.write(1, raw_response(img))\n"
      "sys.stdin.buffer.read()\n", BridgeFrameError),
     ("while img is not None:\n"
-     "    os.write(1, encode_response(img * float('nan')))\n"
+     "    os.write(1, raw_response(img * float('nan')))\n"
      "    img = (read_frame(sys.stdin.buffer) or (None, None))[1]\n", BridgeFrameError),
 ], ids=["response-in-pieces", "request-frame", "oversized-error", "exit-after-prefix",
         "inf-response", "nan-replies"])
@@ -235,7 +270,11 @@ def test_helper_rejects_non_request_frame():
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1, 0.0])
 def test_request_sigma_must_be_finite_and_positive(sigma):
-    request = encode_request(np.full((2, 2), 0.5), sigma)
+    with pytest.raises(ValueError, match="sigma"):
+        encode_request(np.full((2, 2), 0.5), sigma)
+    # so the frame is made by hand
+    request = (MAGIC + struct.pack("<IdII", FRAME_REQUEST, sigma, 2, 2)
+               + np.full((2, 2), 0.5, dtype="<f4").tobytes())
     with pytest.raises(BridgeFrameError, match="sigma"):
         read_frame(io.BytesIO(request))
     proc = subprocess.run(HELPER + ["--prior", "gaussian"], input=request,

@@ -370,12 +370,17 @@ def test_reconstruct_bad_prior_kind(tmp_path, capsys):
     ("reconstruct", "kind = gaussian", "kind = bridge\ncommand = true\nrestart_on_crash = false"),
     ("reconstruct", "kind = gaussian", "kind = gmm\nmeans = 0.2,0.7\nweights = 1e308,1e308"),
     ("simulate", "sigma_y = 0.03\nseed = 9", "sigma_y = 0\nseed = -1"),
+    ("reconstruct", "kind = gaussian", "kind = bridge"),
+    ("reconstruct", "input = ", "# input = "),
+    ("reconstruct", "seed = 1", "seed = 1\nchains = 0"),
+    ("simulate", "layer1 = 8,0,0,0.75", "layer1 = 8,0,0"),
 ], ids=["factor", "sigma_y", "rho_min", "steps", "init", "sigma_floor", "simulate-factor",
         "simulate-width", "sigma_y-nan", "sigma_floor-nan", "curvature-7", "variance-nan",
         "rho0-inf", "variance-zero", "bridge-timeout", "bridge-timeout-huge", "bridge-command",
         "key-of-other-kind", "simulate-sigma_y-negative", "simulate-phantom-seed-negative",
         "run-seed-negative", "stochastic-false", "restart_on_crash-true", "restart_on_crash-false",
-        "gmm-weight-sum-inf", "simulate-noiseless-seed-negative"])
+        "gmm-weight-sum-inf", "simulate-noiseless-seed-negative", "bridge-without-command",
+        "no-input", "chains-zero", "layer-of-three"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, command, old, new):
     cfg = (_simulate_config(tmp_path) if command == "simulate"
            else _reconstruct_config(tmp_path, "kind = gaussian"))
@@ -438,6 +443,24 @@ def test_reconstruct_bridge_command_that_cannot_start_exit_code(tmp_path, capsys
     cfg = _reconstruct_config(tmp_path, f"kind = bridge\ncommand = {missing}")
     assert main(["reconstruct", str(cfg)]) == EXIT_BRIDGE
     assert "bridge error" in capsys.readouterr().err
+
+
+def test_reconstruct_bridge_server_that_never_reads_times_out(tmp_path):
+    """256² requests overfill the pipe to a server that never reads stdin;
+    the timeout covers sending them, so the run ends with a bridge error."""
+    never_reads = shlex.join([sys.executable, "-c", "import time; time.sleep(60)"])
+    cfg = _reconstruct_config(tmp_path, f"kind = bridge\ncommand = {never_reads}\ntimeout = 1",
+                              size=128)
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("factor = 2", "factor = 4"),
+                   encoding="utf-8")
+    src = str(Path(pnpdm.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # in a subprocess, so that a hang fails the test
+    proc = subprocess.run([sys.executable, "-m", "pnpdm.cli", "reconstruct", str(cfg)], env=env,
+                          timeout=60, capture_output=True, text=True)
+    assert proc.returncode == EXIT_BRIDGE
+    assert "bridge error" in proc.stderr and "no response within 1" in proc.stderr
 
 
 def test_evaluate_table_and_missing_file(tmp_path, capsys):

@@ -59,6 +59,15 @@ def test_truncated_float_payload(tmp_path):
         read_image(path)
 
 
+def test_truncated_float_header(tmp_path):
+    path = tmp_path / "h.pnpi"
+    for size in (4, 15):  # the magic, and one byte short of the 16-byte header
+        path.write_bytes(FLOAT_MAGIC + b"\x00" * (size - 4))
+        with pytest.raises(ImageFormatError, match="truncated header") as exc:
+            read_image(path)
+        assert exc.value.offset == size
+
+
 def test_float_bytes_after_pixels_are_rejected(tmp_path):
     path = tmp_path / "x.pnpi"
     write_image(path, np.zeros((2, 2)))

@@ -147,9 +147,12 @@ def test_ssim_rejects_small_images():
 
 
 def test_bicubic_constant_exact():
-    lr = np.full((5, 7), 0.37)
-    for f in (2, 3, 4):
-        assert np.max(np.abs(bicubic_upsample(lr, f) - 0.37)) < 1e-12
+    for shape in [(5, 7), (1, 7), (5, 1), (1, 1)]:  # a single row or column is repeated
+        lr = np.full(shape, 0.37)
+        for f in (2, 3, 4):
+            hr = bicubic_upsample(lr, f)
+            assert hr.shape == (shape[0] * f, shape[1] * f)
+            assert np.max(np.abs(hr - 0.37)) < 1e-12
 
 
 def test_bicubic_linear_ramps_exact():
