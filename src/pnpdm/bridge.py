@@ -15,17 +15,19 @@ Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]);
 a frame holding a NaN or infinite pixel, or a bad sigma, is malformed.
 ``read_frame`` is the one decoder, for servers and client alike; the encoders
 raise ``ValueError`` for what it refuses, as ``write_image`` does.  A bridge
-instance is exclusive: strictly one request in flight.  Threads that share one
-instance take turns; each call holds a lock for its round trip.  The timeout
-covers the whole round trip, sending the request and reading the reply; when
-it passes, the client kills the server.  A malformed reply leaves the stream
-out of step, so the client kills the server then too.  Every failure, a
+instance serves one request at a time; threads that share it take turns.  The
+timeout covers the whole round trip, sending the request and reading the
+reply.  When it passes, or a malformed reply leaves the stream out of step,
+the client kills the server's process group, so a wrapper command (``sh -c``,
+``uv run``) goes with the child that holds its pipes.  Every failure, a
 command that cannot start included, raises a ``BridgeError``; nothing
 restarts a server that has gone.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import struct
 import subprocess
 import threading
@@ -69,9 +71,13 @@ class BridgeRemoteError(BridgeError):
     """Server answered with an error frame; carries its message."""
 
 
+def _sigma_ok(sigma: float) -> bool:
+    return 0.0 < sigma < float("inf")
+
+
 def encode_request(x: np.ndarray, sigma: float) -> bytes:
     sigma = float(sigma)
-    if not 0.0 < sigma < float("inf"):
+    if not _sigma_ok(sigma):
         raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
     pixels = encodable_pixels(x)
     return (_PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", sigma)
@@ -105,7 +111,7 @@ def read_frame(stream: BinaryIO):
     if frame_type == FRAME_REQUEST:
         head = _read_exact(stream, 8 + _DIMS.size)
         (sigma,) = struct.unpack_from("<d", head)
-        if not 0.0 < sigma < float("inf"):
+        if not _sigma_ok(sigma):
             raise BridgeFrameError(f"request sigma {sigma} is not finite and > 0")
         h, w = _DIMS.unpack_from(head, 8)
         return FRAME_REQUEST, _read_pixels(stream, h, w), sigma
@@ -151,6 +157,14 @@ class _PipeReader:
         return data
 
 
+def _kill(proc: subprocess.Popen):
+    """Kill the server's process group: a wrapper's child holds the pipes too."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # the group is gone already
+        pass
+
+
 @dataclass(frozen=True)
 class BridgeConfig:
     command: Sequence[str]
@@ -177,7 +191,8 @@ class BridgeDenoiser:
     def _start(self):
         try:
             self._proc = subprocess.Popen(list(self.config.command),
-                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                          start_new_session=True)
         except OSError as exc:
             raise BridgeProcessError(f"cannot start external process: {exc}") from exc
 
@@ -188,7 +203,7 @@ class BridgeDenoiser:
             proc = self._proc
             expired = threading.Event()
             # one deadline per round trip: the kill ends a blocked write or read
-            watchdog = threading.Timer(self.config.timeout, lambda: (expired.set(), proc.kill()))
+            watchdog = threading.Timer(self.config.timeout, lambda: (expired.set(), _kill(proc)))
             watchdog.start()
             try:
                 try:
@@ -204,7 +219,7 @@ class BridgeDenoiser:
                     raise BridgeFrameError(f"unexpected frame type {frame[0]} from server")
             except (BridgeError, OSError) as exc:
                 # a partial or unread reply would answer the next request
-                proc.kill()
+                _kill(proc)
                 proc.wait()
                 if expired.is_set():
                     raise BridgeTimeoutError(
@@ -236,7 +251,7 @@ class BridgeDenoiser:
         try:
             self._proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
-            self._proc.kill()
+            _kill(self._proc)
             self._proc.wait()
         self._proc.stdout.close()
         self._proc = None

@@ -1,6 +1,7 @@
 """Framed stdio denoiser protocol: codec, loopback, fault injection."""
 
 import io
+import shlex
 import struct
 import subprocess
 import sys
@@ -156,8 +157,7 @@ _STALLED_CLIENT = """
 import sys, time
 import numpy as np
 from pnpdm.bridge import BridgeConfig, BridgeDenoiser
-server = [sys.executable, "-c", "import time; time.sleep(60)"]
-with BridgeDenoiser(BridgeConfig(command=server, timeout=1.0)) as bridge:
+with BridgeDenoiser(BridgeConfig(command=sys.argv[1:], timeout=1.0)) as bridge:
     for _ in range(2):
         start = time.monotonic()
         try:
@@ -167,11 +167,18 @@ with BridgeDenoiser(BridgeConfig(command=server, timeout=1.0)) as bridge:
 """
 
 
-def test_timeout_covers_sending_to_a_server_that_never_reads():
-    """A 256² request overfills the pipe to a server that never reads stdin;
-    the timeout ends the blocked write, and the killed server stays dead.
-    The client runs in a subprocess, so a hang fails the test."""
-    proc = subprocess.run([sys.executable, "-c", _STALLED_CLIENT], capture_output=True,
+@pytest.mark.parametrize("server", [
+    _server("import time; time.sleep(60)"),
+    # behind a shell wrapper the server that holds the pipes is a grandchild,
+    # so killing only the shell would leave the reply read blocked
+    ["sh", "-c", shlex.join(_server("import sys; sys.stdin.buffer.read()")) + "; :"],
+], ids=["never-reads", "wrapped-never-replies"])
+def test_timeout_ends_a_stalled_round_trip(server):
+    """A 256² request overfills the pipe to a server that never reads stdin,
+    and the wrapped server never replies; the timeout ends the blocked write
+    or read, and the killed server stays dead.  The client runs in a
+    subprocess, so a hang fails the test."""
+    proc = subprocess.run([sys.executable, "-c", _STALLED_CLIENT, *server], capture_output=True,
                           text=True, timeout=30)
     (first, elapsed), (second, _) = [line.split() for line in proc.stdout.splitlines()]
     assert first == "BridgeTimeoutError" and float(elapsed) < 3.0
