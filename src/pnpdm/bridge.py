@@ -81,12 +81,13 @@ def encode_request(x: np.ndarray, sigma: float) -> bytes:
         raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
     pixels = encodable_pixels(x)
     return (_PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", sigma)
-            + _DIMS.pack(*pixels.shape) + pixels.tobytes())
+            + _DIMS.pack(*pixels.shape) + memoryview(pixels).cast("B"))
 
 
 def encode_response(img: np.ndarray) -> bytes:
     pixels = encodable_pixels(img)
-    return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*pixels.shape) + pixels.tobytes()
+    return (_PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*pixels.shape)
+            + memoryview(pixels).cast("B"))
 
 
 def encode_error(message: str) -> bytes:

@@ -206,7 +206,8 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     def one_chain(index: int):
         cfg_i = dataclasses.replace(run_cfg, seed=run_cfg.seed + index)
         callback = log_iteration if index == 0 and log_path is not None else None
-        return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)
+        # the chain's mean is never read: drop it as the chain returns
+        return run_chain(model, denoise, schedule, sde, cfg_i, x_init, callback)[0]
 
     try:
         # directories are made once the run is set up, so a path that cannot
@@ -222,7 +223,7 @@ def cmd_reconstruct(config_path: str, threads: int = 1) -> int:
     finally:
         close()
 
-    all_samples = [s for samples, _ in results for s in samples]
+    all_samples = [s for samples in results for s in samples]
     mean = sample_mean(all_samples)
     write_image(output_path, mean)
     if samples_dir is not None:

@@ -52,14 +52,15 @@ def check_finite(img: np.ndarray, what: str) -> None:
 
 
 def encodable_pixels(data) -> np.ndarray:
-    """``as_image`` cast to little-endian f32, as PNPI files and bridge frames
-    hold it; ``ValueError`` for what their decoders refuse: a side above
-    MAX_DIM, or a pixel that is not finite once cast to f32."""
+    """``as_image`` cast to C-ordered little-endian f32, whose raw bytes are the
+    payload of PNPI files and bridge frames; ``ValueError`` for what their
+    decoders refuse: a side above MAX_DIM, or a pixel that is not finite once
+    cast to f32."""
     img = as_image(data)
     if max(img.shape) > MAX_DIM:
         raise ValueError(f"image dims must be <= {MAX_DIM}, got {img.shape}")
     with np.errstate(over="ignore"):  # a finite value beyond the f32 range becomes inf
-        pixels = img.astype("<f4")
+        pixels = img.astype("<f4", order="C")
     check_finite(pixels, "image as f32")
     return pixels
 
@@ -68,8 +69,8 @@ def write_image(path, img) -> None:
     """Write ``img`` to ``path`` as PNPI; nothing is written if
     ``encodable_pixels`` refuses it."""
     pixels = encodable_pixels(img)
-    h, w = pixels.shape
-    Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, h, w, 0) + pixels.tobytes())
+    Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, *pixels.shape, 0)
+                           + memoryview(pixels).cast("B"))
 
 
 def read_image(path) -> np.ndarray:

@@ -116,21 +116,21 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
                  rng: np.random.Generator) -> np.ndarray:
     """Draw x | z: integrate the reverse SDE from rho, starting at z.
 
-    The iterate x starts as a copy of z.  The steps write only into x and
-    three full-size buffers allocated once per call: the clamped step, the
-    noise variance (or the black-box probe's factor) and the noise, which
-    also carries the probe's input x + eps before it is drawn.  Neither z nor
-    any array a denoiser returns is written, so a denoiser may return an
-    array it keeps.  The buffers live until the call returns; the returned
-    sample is a new array.  A ``GmmPrior`` denoiser adds block scratch of
-    (K + 6)·min(N, _BLOCK)·8 bytes per call, freed on its return (see
-    ``GmmPrior.denoise_with_tweedie``).
+    The iterate x starts as a copy of z.  The steps write only into x and two
+    full-size buffers allocated once per call: the clamped step, into which
+    the noise is drawn once the step is spent, and the noise variance, which
+    first carries the black-box probe's input x + eps and then its factor.
+    A step's denoiser outputs are released before the next denoiser call.
+    Neither z nor any array a denoiser returns is written, so a denoiser may
+    return an array it keeps.  The returned sample is a new array.  A
+    ``GmmPrior`` denoiser adds block scratch of (K + 6)·min(N, _BLOCK)·8 bytes
+    per call, freed on its return (see ``GmmPrior.denoise_with_tweedie``).
     """
     z = np.asarray(z, dtype=np.float64)
     grid = sigma_grid(rho, cfg)
     exact = getattr(getattr(denoise, "__self__", None), "denoise_with_tweedie", None)
     x = z.copy()
-    step, var, noise = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    step, var = np.empty_like(x), np.empty_like(x)
     for sigma, sigma_next in zip(grid[:-1], grid[1:]):
         sigma = float(sigma)
         if exact is not None:
@@ -138,18 +138,20 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
         else:
             estimate, tweedie = denoise(x, sigma), None
         _clipped(estimate, step)
+        del estimate  # before the probe's call
         if tweedie is None:
             # (clip(denoise(x + eps)) - clip(denoise(x))) / eps, clipped below at 0
-            tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=noise), sigma), var)
+            tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=var), sigma), var)
             tweedie -= step
             tweedie /= _PROBE_EPS
             np.maximum(tweedie, 0.0, out=tweedie)
         shrink = 1.0 - sigma_next**2 / sigma**2
         scale = _noise_scale(tweedie, sigma_next**2 * shrink, shrink**2 * sigma**2, var)
+        del tweedie  # before the next step's call
         step -= x
         step *= shrink
         x += step
-        rng.standard_normal(out=noise)
-        noise *= scale
-        x += noise
+        rng.standard_normal(out=step)
+        step *= scale
+        x += step
     return np.clip(denoise(x, float(grid[-1])), _CLAMP_LO, _CLAMP_HI)

@@ -67,6 +67,14 @@ def test_encoders_refuse_what_read_frame_refuses(encode):
             encode(img)
 
 
+@pytest.mark.parametrize("encode", [lambda img: encode_request(img, 0.25), encode_response],
+                         ids=["request", "response"])
+def test_transposed_image_encodes_as_its_c_ordered_copy(encode):
+    img = np.random.default_rng(2).standard_normal((5, 7)).T
+    assert encode(img) == encode(np.ascontiguousarray(img))
+    assert np.array_equal(read_frame(io.BytesIO(encode(img)))[1], img.astype("<f4"))
+
+
 def test_read_frame_eof_and_truncation():
     assert read_frame(io.BytesIO(b"")) is None
     with pytest.raises(BridgeFrameError):

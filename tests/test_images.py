@@ -41,6 +41,15 @@ def test_float_round_trip(tmp_path):
         assert path.read_bytes()[:4] == FLOAT_MAGIC
 
 
+def test_transposed_image_writes_the_bytes_of_its_c_ordered_copy(tmp_path):
+    """A Fortran-ordered view, as ``bicubic_upsample`` returns, is written row-major."""
+    img = np.random.default_rng(2).standard_normal((5, 7)).T
+    write_image(tmp_path / "view.pnpi", img)
+    write_image(tmp_path / "copy.pnpi", np.ascontiguousarray(img))
+    assert (tmp_path / "view.pnpi").read_bytes() == (tmp_path / "copy.pnpi").read_bytes()
+    assert np.array_equal(read_image(tmp_path / "view.pnpi"), img.astype("<f4"))
+
+
 def test_unknown_magic(tmp_path):
     path = tmp_path / "junk.bin"
     for raw in (b"WHAT" + b"\x00" * 32, b"P5\n2 1\n255\n\x00\xff"):  # junk, 8-bit graymap

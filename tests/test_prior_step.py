@@ -1,10 +1,13 @@
 """Reverse-SDE prior refinement against Gaussian conjugate answers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pnpdm.analytic import GaussianPrior, GmmPrior
+from pnpdm.analytic import _BLOCK, GaussianPrior, GmmPrior
 from pnpdm.prior_step import SdeConfig, prior_refine, sigma_grid
+from test_acceptance import _a3_prior
 from test_analytic import _quadrature_posterior
 
 
@@ -192,3 +195,29 @@ def test_refine_matches_plain_reference_bit_for_bit(kind):
     assert np.array_equal(z, z_before)
     assert all(np.array_equal(a, before) for a, before in owner.returned)
     assert np.array_equal(got, _reference_refine(z, 0.6, denoise, cfg, np.random.default_rng(8)))
+
+
+@pytest.mark.parametrize("kind", ["gmm-exact", "gaussian-probe"])
+def test_refine_working_set(kind):
+    """Traced peak of one 256² refine, in float64 images: x, the two buffers
+    and the denoiser call in flight, never a previous step's outputs.  The
+    exact mixture path allows that call's estimate and factor plus its block
+    scratch; the black-box path allows three arrays for the Gaussian's call."""
+    z = np.random.default_rng(0).uniform(0.0, 1.0, size=(256, 256))
+    if kind == "gmm-exact":
+        prior = _a3_prior()
+        denoise = prior.denoise
+        scratch = (prior.weights.size + 6) * min(z.size, _BLOCK) * 8
+        bound = 5 + scratch / z.nbytes
+    else:
+        prior = GaussianPrior(mean=0.4, variance=0.05)
+        denoise = lambda x, s: prior.denoise(x, s)
+        bound = 6
+    rng = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        prior_refine(z, 0.04, denoise, SdeConfig(num_steps=3, sigma_floor=0.008), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / z.nbytes <= bound + 0.1
