@@ -4,47 +4,63 @@ An external program (e.g. a trained diffusion-network runner) reads request
 frames on stdin and writes response frames on stdout, so learned priors plug
 in without binding this package to a deep-learning stack.
 
-Wire format, little-endian throughout:
+Frames, little-endian throughout, carry no pixels:
 
 * request:  magic ``PNPD``, u32 frame-type=1, f64 sigma (finite, > 0),
-  u32 height, u32 width, then height*width f32 pixels row-major
-* response: magic ``PNPD``, u32 frame-type=2, u32 height, u32 width, pixels
+  u32 height, u32 width
+* response: magic ``PNPD``, u32 frame-type=2, u32 height, u32 width
 * error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
 
-Pixels cross the wire at 32-bit precision (quantization <= 1e-6 on [-2, 2]);
-a frame holding a NaN or infinite pixel, or a bad sigma, is malformed.
+The pixels sit in one shared memory file per bridge, the region: height*width
+little-endian f64 values row-major from offset 0, so they cross exactly.  The
+client creates the file (a memfd, or an unlinked temporary file where the
+platform has no memfd), hands its descriptor to the server at start and names
+it in the ``PNPD_SHM_FD`` environment variable.  It writes the request image
+into the region before it sends the request frame; the server overwrites it
+with its reply before it sends the response frame.  The client grows the file
+with ``ftruncate`` before a larger request and never shrinks it, so a server
+maps the whole file and maps it again when ``fstat`` reports it larger after
+a request frame.  A NaN or infinite pixel, or a bad sigma, is malformed.
+
 ``read_frame`` is the one decoder, for servers and client alike; the encoders
-raise ``ValueError`` for what it refuses, as ``write_image`` does.  A bridge
-instance serves one request at a time; threads that share it take turns.  The
-timeout covers the whole round trip, sending the request and reading the
-reply.  When it passes, or a malformed reply leaves the stream out of step,
-the client kills the server's process group, so a wrapper command (``sh -c``,
-``uv run``) goes with the child that holds its pipes.  Every failure, a
-command that cannot start included, raises a ``BridgeError``; nothing
-restarts a server that has gone.
+raise ``ValueError`` for what the other side refuses, as ``write_image`` does,
+and ``serve`` is the server loop around a denoise function.  A bridge instance
+serves one request at a time; threads that share it take turns.  The timeout
+covers reading the whole reply.  When it passes, or a malformed reply leaves
+the two sides out of step, the client kills the server's process group, so a
+wrapper command (``sh -c``, ``uv run``) goes with the child that holds its
+pipes.  Every failure, a command that cannot start included, raises a
+``BridgeError``; nothing restarts a server that has gone.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
+import select
 import signal
 import struct
 import subprocess
+import sys
+import tempfile
 import threading
+import time
 from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from pnpdm.images import MAX_DIM, as_image, encodable_pixels
+from pnpdm.images import MAX_DIM, as_image, check_finite
 
 MAGIC = b"PNPD"
 FRAME_REQUEST = 1
 FRAME_RESPONSE = 2
 FRAME_ERROR = 3
+SHM_FD_ENV = "PNPD_SHM_FD"
 
 _PREFIX = struct.Struct("<4sI")
 _DIMS = struct.Struct("<II")
+_POLL_MAX_MS = 2**31 - 1  # poll(2) takes a C int of milliseconds
 
 
 class BridgeError(RuntimeError):
@@ -60,7 +76,7 @@ class BridgeProcessError(BridgeError):
 
 
 class BridgeFrameError(BridgeError):
-    """Malformed frame on the wire."""
+    """Malformed frame or pixels."""
 
 
 class BridgeShapeError(BridgeError):
@@ -76,18 +92,33 @@ def _sigma_ok(sigma: float) -> bool:
 
 
 def encode_request(x: np.ndarray, sigma: float) -> bytes:
-    sigma = float(sigma)
-    if not _sigma_ok(sigma):
-        raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
-    pixels = encodable_pixels(x)
-    return (_PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", sigma)
-            + _DIMS.pack(*pixels.shape) + memoryview(pixels).cast("B"))
+    """The request frame for ``x``, whose pixels go through the region."""
+    x = as_image(x)
+    frame = _request_frame(x.shape, sigma)
+    check_finite(x, "image")
+    return frame
 
 
 def encode_response(img: np.ndarray) -> bytes:
-    pixels = encodable_pixels(img)
-    return (_PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*pixels.shape)
-            + memoryview(pixels).cast("B"))
+    """The response frame for ``img``, whose pixels go through the region."""
+    img = as_image(img)
+    frame = _response_frame(img.shape)
+    check_finite(img, "image")
+    return frame
+
+
+def _request_frame(shape: tuple[int, int], sigma: float) -> bytes:
+    """``encode_request`` for pixels that ``_fill`` checks."""
+    sigma = float(sigma)
+    if not _sigma_ok(sigma):
+        raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
+    shape = _dims(shape, ValueError)
+    return _PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", sigma) + _DIMS.pack(*shape)
+
+
+def _response_frame(shape: tuple[int, int]) -> bytes:
+    """``encode_response`` for pixels that ``_fill`` checks."""
+    return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*_dims(shape, ValueError))
 
 
 def encode_error(message: str) -> bytes:
@@ -98,8 +129,8 @@ def encode_error(message: str) -> bytes:
 def read_frame(stream: BinaryIO):
     """Read one frame from a blocking stream; None on clean EOF at a boundary.
 
-    Returns (FRAME_REQUEST, image, sigma), (FRAME_RESPONSE, image) or
-    (FRAME_ERROR, message).
+    Returns (FRAME_REQUEST, (height, width), sigma), (FRAME_RESPONSE,
+    (height, width)) or (FRAME_ERROR, message).
     """
     prefix = stream.read(_PREFIX.size)
     if not prefix:
@@ -114,11 +145,9 @@ def read_frame(stream: BinaryIO):
         (sigma,) = struct.unpack_from("<d", head)
         if not _sigma_ok(sigma):
             raise BridgeFrameError(f"request sigma {sigma} is not finite and > 0")
-        h, w = _DIMS.unpack_from(head, 8)
-        return FRAME_REQUEST, _read_pixels(stream, h, w), sigma
+        return FRAME_REQUEST, _dims(_DIMS.unpack_from(head, 8)), sigma
     if frame_type == FRAME_RESPONSE:
-        h, w = _DIMS.unpack(_read_exact(stream, _DIMS.size))
-        return FRAME_RESPONSE, _read_pixels(stream, h, w)
+        return FRAME_RESPONSE, _dims(_DIMS.unpack(_read_exact(stream, _DIMS.size)))
     if frame_type == FRAME_ERROR:
         (length,) = struct.unpack("<I", _read_exact(stream, 4))
         if length > 1 << 20:
@@ -134,27 +163,125 @@ def _read_exact(stream: BinaryIO, count: int) -> bytes:
     return data
 
 
-def _read_pixels(stream: BinaryIO, h: int, w: int) -> np.ndarray:
+def _dims(shape: tuple[int, int],
+          error: type[Exception] = BridgeFrameError) -> tuple[int, int]:
+    h, w = shape
     if h < 1 or w < 1 or h > MAX_DIM or w > MAX_DIM:
-        raise BridgeFrameError(f"frame dimensions {h}x{w} out of range")
-    pixels = np.frombuffer(_read_exact(stream, 4 * h * w), dtype="<f4")
-    if not np.isfinite(pixels).all():
-        raise BridgeFrameError("non-finite pixel in frame")
-    return pixels.astype(np.float64).reshape(h, w)
+        raise error(f"frame dimensions {h}x{w} out of range (1 <= side <= {MAX_DIM})")
+    return shape
+
+
+def _check_pixels(img: np.ndarray, what: str, error: type[Exception] = BridgeFrameError):
+    if not np.isfinite(img).all():
+        raise error(f"non-finite pixel in the {what}")
+
+
+def _fill(dst: np.ndarray, src: np.ndarray, what: str,
+          error: type[Exception] = BridgeFrameError):
+    """Copy ``src`` into ``dst`` a block of rows at a time, checking each block
+    of ``dst`` right after it is copied: the check reads it from cache, and a
+    later write to ``src`` cannot change what was checked."""
+    rows = max(1, (1 << 18) // (8 * src.shape[1]))
+    for i in range(0, src.shape[0], rows):
+        dst[i:i + rows] = src[i:i + rows]
+        _check_pixels(dst[i:i + rows], what, error)
+
+
+class _Region:
+    """The shared pixel region of one bridge, mapped whole."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self._map: mmap.mmap | None = None
+
+    def pixels(self, shape: tuple[int, int], grow: bool = False) -> np.ndarray:
+        """The region's first h*w pixels as an (h, w) view; ``grow`` (the
+        client's side) makes the file large enough first."""
+        need = 8 * shape[0] * shape[1]
+        size = os.fstat(self.fd).st_size
+        if grow and size < need:
+            os.ftruncate(self.fd, need)
+            size = need
+        if size < need:
+            raise BridgeFrameError(f"the shared region holds {size} bytes, "
+                                   f"a {shape[0]}x{shape[1]} image needs {need}")
+        if self._map is None or len(self._map) < size:
+            # a map still viewed stays open until its last view goes
+            self._map = mmap.mmap(self.fd, size)
+        return np.frombuffer(self._map, "<f8", need // 8).reshape(shape)
+
+    def close(self):
+        # unmapped now, or, while an exception's traceback still holds a
+        # view, when that goes: mmap.close() would raise BufferError
+        self._map = None
+        os.close(self.fd)
+
+
+def _region_from_env() -> _Region:
+    value = os.environ.get(SHM_FD_ENV, "")
+    if not value.isdigit():
+        raise BridgeError(f"{SHM_FD_ENV} does not name the shared region's descriptor: "
+                          f"{value!r}; the server must be started by a bridge client")
+    return _Region(int(value))
+
+
+def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
+    """Answer request frames on stdin with ``denoise(image, sigma)`` until EOF.
+
+    ``image`` is a view of the region, which the result then overwrites.  A
+    malformed request, or a region that cannot hold it, is answered with an
+    error frame and ends the loop with 1; a clean EOF ends it with 0.  A
+    result with a non-finite pixel raises ``ValueError``.
+    """
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    region = None
+    while True:
+        try:
+            frame = read_frame(stdin)
+            if frame is None:
+                return 0
+            if frame[0] != FRAME_REQUEST:
+                raise BridgeFrameError(f"expected a request frame, got type {frame[0]}")
+            _, shape, sigma = frame
+            region = region or _region_from_env()
+            image = region.pixels(shape)
+            _check_pixels(image, "request")
+        except (BridgeError, OSError) as exc:
+            stdout.write(encode_error(str(exc)))
+            stdout.flush()
+            return 1
+        result = as_image(denoise(image, sigma))
+        reply = _response_frame(result.shape)
+        _fill(region.pixels(result.shape), result, "reply", ValueError)
+        stdout.write(reply)
+        stdout.flush()
 
 
 class _PipeReader:
-    """``read_frame``'s view of a child's stdout: a short read is the child
-    closing it, reported with the exit code of the reaped child."""
+    """``read_frame``'s view of a child's stdout, bounded by one deadline: a
+    short read is the child closing it, reported with the exit code of the
+    reaped child."""
 
-    def __init__(self, proc: subprocess.Popen):
+    def __init__(self, proc: subprocess.Popen, timeout: float):
         self._proc = proc
+        self._timeout = timeout
+        self._deadline = time.monotonic() + timeout
+        self._poll = select.poll()
+        self._poll.register(proc.stdout, select.POLLIN)
 
     def read(self, count: int) -> bytes:
-        data = self._proc.stdout.read(count)
-        if len(data) < count:
-            raise BridgeProcessError(
-                f"external process closed stdout (exit code {self._proc.wait()})")
+        data = b""
+        while len(data) < count:
+            wait = self._deadline - time.monotonic()
+            if wait <= 0:
+                raise BridgeTimeoutError(f"no response within {self._timeout} s")
+            if not self._poll.poll(min(1e3 * wait, _POLL_MAX_MS)):
+                continue
+            chunk = self._proc.stdout.read(count - len(data))
+            if not chunk:
+                raise BridgeProcessError(
+                    f"external process closed stdout (exit code {self._proc.wait()})")
+            data += chunk
         return data
 
 
@@ -172,7 +299,7 @@ class BridgeConfig:
     timeout: float = 30.0
 
     def __post_init__(self):
-        # the watchdog's timer, like any lock wait, rejects a longer timeout
+        # longer than any wait Python's threads allow (about 292 years) is a typo
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:
             raise ValueError(
                 f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g} s, got {self.timeout}")
@@ -190,51 +317,54 @@ class BridgeDenoiser:
         self._start()
 
     def _start(self):
+        if hasattr(os, "memfd_create"):
+            fd = os.memfd_create("pnpd-region")
+        else:  # an unlinked file, which may sit on disk
+            with tempfile.TemporaryFile() as file:
+                fd = os.dup(file.fileno())
+        self._region = _Region(fd)
         try:
-            self._proc = subprocess.Popen(list(self.config.command),
-                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                          start_new_session=True)
+            self._proc = subprocess.Popen(
+                list(self.config.command), bufsize=0, stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, start_new_session=True, pass_fds=(self._region.fd,),
+                env=dict(os.environ, **{SHM_FD_ENV: str(self._region.fd)}))
         except OSError as exc:
+            self._region.close()
             raise BridgeProcessError(f"cannot start external process: {exc}") from exc
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
         x = as_image(x)
+        request = _request_frame(x.shape, sigma)
         with self._lock:
             self._ensure_alive()
             proc = self._proc
-            expired = threading.Event()
-            # one deadline per round trip: the kill ends a blocked write or read
-            watchdog = threading.Timer(self.config.timeout, lambda: (expired.set(), _kill(proc)))
-            watchdog.start()
             try:
-                try:
-                    # unbound, so the request is freed before the reply is read:
-                    # holding it made a 1024² round trip about half again slower
-                    proc.stdin.write(encode_request(x, sigma))
-                    proc.stdin.flush()
-                    frame = read_frame(_PipeReader(proc))
-                finally:
-                    watchdog.cancel()
-                    watchdog.join()  # no kill lands after this line
+                region = self._region.pixels(x.shape, grow=True)
+            except OSError as exc:
+                raise BridgeError(f"cannot grow the shared region: {exc}") from exc
+            # refused as encode_request refuses, before anything is sent
+            _fill(region, x, "request", ValueError)
+            try:
+                # a request frame fits an empty pipe, so only the reply can stall
+                proc.stdin.write(request)
+                frame = read_frame(_PipeReader(proc, self.config.timeout))
                 if frame[0] == FRAME_REQUEST:
                     raise BridgeFrameError(f"unexpected frame type {frame[0]} from server")
+                if frame[0] == FRAME_RESPONSE and frame[1] == x.shape:
+                    response = np.empty(x.shape)
+                    # the copy is checked, so the server cannot change it later
+                    _fill(response, region, "reply")
             except (BridgeError, OSError) as exc:
                 # a partial or unread reply would answer the next request
                 _kill(proc)
                 proc.wait()
-                if expired.is_set():
-                    raise BridgeTimeoutError(
-                        f"no response within {self.config.timeout} s") from exc
                 if isinstance(exc, OSError):
                     raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
                 raise
         if frame[0] == FRAME_ERROR:
             raise BridgeRemoteError(frame[1])
-        response = frame[1]
-        if response.shape != x.shape:
-            raise BridgeShapeError(
-                f"response shape {response.shape} != request shape {x.shape}"
-            )
+        if frame[1] != x.shape:
+            raise BridgeShapeError(f"response shape {frame[1]} != request shape {x.shape}")
         return response
 
     def _ensure_alive(self):
@@ -256,6 +386,7 @@ class BridgeDenoiser:
             self._proc.wait()
         self._proc.stdout.close()
         self._proc = None
+        self._region.close()
 
     def __enter__(self):
         return self

@@ -1,6 +1,8 @@
-"""Reference denoiser server for the framed stdio protocol.
+"""Reference denoiser server for the bridge protocol.
 
-Used by CI to exercise the bridge without external dependencies::
+Used by CI to exercise the bridge without external dependencies; a bridge
+client starts it, because it serves pixels through the region the client
+shares with it::
 
     python -m pnpdm.bridge_helper --prior gaussian --mean 0.5 --variance 0.04
     python -m pnpdm.bridge_helper --prior echo
@@ -15,7 +17,7 @@ import sys
 import time
 
 from pnpdm.analytic import GaussianPrior
-from pnpdm.bridge import FRAME_REQUEST, BridgeFrameError, encode_error, encode_response, read_frame
+from pnpdm.bridge import serve as serve_frames
 
 
 def serve(argv=None) -> int:
@@ -27,30 +29,13 @@ def serve(argv=None) -> int:
     args = parser.parse_args(argv)
 
     prior = GaussianPrior(mean=args.mean, variance=args.variance)
-    stdin = sys.stdin.buffer
-    stdout = sys.stdout.buffer
-    while True:
-        try:
-            frame = read_frame(stdin)
-        except BridgeFrameError as exc:
-            stdout.write(encode_error(str(exc)))
-            stdout.flush()
-            return 1
-        if frame is None:
-            return 0
-        if frame[0] != FRAME_REQUEST:
-            stdout.write(encode_error(f"expected a request frame, got type {frame[0]}"))
-            stdout.flush()
-            return 1
-        _, image, sigma = frame
+
+    def denoise(image, sigma):
         if args.delay > 0:
             time.sleep(args.delay)
-        if args.prior == "echo":
-            result = image
-        else:
-            result = prior.denoise(image, sigma)
-        stdout.write(encode_response(result))
-        stdout.flush()
+        return image if args.prior == "echo" else prior.denoise(image, sigma)
+
+    return serve_frames(denoise)
 
 
 if __name__ == "__main__":

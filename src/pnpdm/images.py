@@ -53,9 +53,8 @@ def check_finite(img: np.ndarray, what: str) -> None:
 
 def encodable_pixels(data) -> np.ndarray:
     """``as_image`` cast to C-ordered little-endian f32, whose raw bytes are the
-    payload of PNPI files and bridge frames; ``ValueError`` for what their
-    decoders refuse: a side above MAX_DIM, or a pixel that is not finite once
-    cast to f32."""
+    payload of PNPI files; ``ValueError`` for what ``read_image`` refuses: a
+    side above MAX_DIM, or a pixel that is not finite once cast to f32."""
     img = as_image(data)
     if max(img.shape) > MAX_DIM:
         raise ValueError(f"image dims must be <= {MAX_DIM}, got {img.shape}")

@@ -328,21 +328,20 @@ def test_a6_block_average_svd_exact():
 
 @criterion("A7")
 def test_a7_bridge_loopback_and_faults():
-    """Loopback round trips match in-process denoising to 1e-6; injected
+    """Loopback round trips match in-process denoising bit for bit; injected
     faults raise the distinct error types."""
     rng = np.random.default_rng(5)
     img = rng.random((12, 10))
 
     with BridgeDenoiser(BridgeConfig(command=HELPER + ["--prior", "echo"],
                                      timeout=20.0)) as bridge:
-        assert np.max(np.abs(bridge.denoise(img, 0.3) - img)) < 1e-6
+        assert np.array_equal(bridge.denoise(img, 0.3), img)
 
     prior = GaussianPrior(mean=0.4, variance=0.03)
     command = HELPER + ["--prior", "gaussian", "--mean", "0.4", "--variance", "0.03"]
     with BridgeDenoiser(BridgeConfig(command=command, timeout=20.0)) as bridge:
         for sigma in (0.05, 0.5):
-            assert np.max(np.abs(bridge.denoise(img, sigma)
-                                 - prior.denoise(img, sigma))) < 1e-6
+            assert np.array_equal(bridge.denoise(img, sigma), prior.denoise(img, sigma))
 
     with BridgeDenoiser(BridgeConfig(command=HELPER + ["--delay", "5"],
                                      timeout=0.4)) as bridge:
@@ -360,7 +359,7 @@ def test_a7_bridge_loopback_and_faults():
     with BridgeDenoiser(BridgeConfig(command=garbage, timeout=20.0)) as bridge:
         with pytest.raises(BridgeFrameError):
             bridge.denoise(img, 0.1)
-    return "echo + gaussian loopback at 1e-6; timeout/process/frame faults"
+    return "echo + gaussian loopback bit-exact; timeout/process/frame faults"
 
 
 # --- A8: metrics -------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Framed stdio denoiser protocol: codec, loopback, fault injection."""
+"""Framed stdio denoiser protocol: codec, shared region, loopback, fault injection."""
 
 import io
+import os
 import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from pnpdm.bridge import (
     BridgeRemoteError,
     BridgeShapeError,
     BridgeTimeoutError,
+    SHM_FD_ENV,
     encode_error,
     encode_request,
     encode_response,
@@ -38,17 +41,14 @@ def _server(script: str) -> list[str]:
 
 def test_request_frame_round_trip():
     img = np.random.default_rng(0).standard_normal((3, 5))
-    frame = read_frame(io.BytesIO(encode_request(img, 0.25)))
-    assert frame[0] == FRAME_REQUEST
-    assert np.allclose(frame[1], img, atol=1e-6)
-    assert frame[2] == 0.25
+    request = encode_request(img, 0.25)
+    assert len(request) == 24  # the pixels go through the region
+    assert read_frame(io.BytesIO(request)) == (FRAME_REQUEST, (3, 5), 0.25)
 
 
 def test_response_and_error_frame_round_trip():
     img = np.random.default_rng(1).random((4, 2))
-    kind, back = read_frame(io.BytesIO(encode_response(img)))
-    assert kind == FRAME_RESPONSE
-    assert np.allclose(back, img, atol=1e-6)
+    assert read_frame(io.BytesIO(encode_response(img))) == (FRAME_RESPONSE, (4, 2))
     kind, message = read_frame(io.BytesIO(encode_error("denoiser busted")))
     assert kind == FRAME_ERROR
     assert message == "denoiser busted"
@@ -58,21 +58,28 @@ def test_response_and_error_frame_round_trip():
                          ids=["request", "response"])
 def test_encoders_refuse_what_read_frame_refuses(encode):
     frame = read_frame(io.BytesIO(encode(np.zeros((MAX_DIM, 1)))))
-    assert frame[1].shape == (MAX_DIM, 1)
+    assert frame[1] == (MAX_DIM, 1)
     for shape in [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)]:
         with pytest.raises(ValueError, match=f"<= {MAX_DIM}"):
             encode(np.zeros(shape))
-    for img in (np.full((2, 2), np.nan), np.array([[0.0, 1e39]])):  # 1e39 is inf as f32
+    for img in (np.full((2, 2), np.nan), np.array([[0.0, np.inf]])):
         with pytest.raises(ValueError, match="non-finite pixel"):
             encode(img)
+    encode(np.array([[0.0, 1e39]]))  # inf as f32, but pixels cross as f64
 
 
-@pytest.mark.parametrize("encode", [lambda img: encode_request(img, 0.25), encode_response],
+@pytest.mark.parametrize("transpose,reply", [(True, "image"),
+                                             (False, "np.asfortranarray(image)")],
                          ids=["request", "response"])
-def test_transposed_image_encodes_as_its_c_ordered_copy(encode):
-    img = np.random.default_rng(2).standard_normal((5, 7)).T
-    assert encode(img) == encode(np.ascontiguousarray(img))
-    assert np.array_equal(read_frame(io.BytesIO(encode(img)))[1], img.astype("<f4"))
+def test_transposed_image_encodes_as_its_c_ordered_copy(transpose, reply):
+    """A Fortran-ordered image, sent by the client or returned by the
+    server's denoiser, enters the region as its row-major copy."""
+    img = np.random.default_rng(2).standard_normal((5, 7))
+    sent = img.T if transpose else img
+    script = ("import numpy as np\nfrom pnpdm.bridge import serve\n"
+              f"serve(lambda image, sigma: {reply})\n")
+    with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
+        assert np.array_equal(bridge.denoise(sent, 0.25), sent)
 
 
 def test_read_frame_eof_and_truncation():
@@ -103,10 +110,10 @@ def test_echo_loopback():
     with BridgeDenoiser(BridgeConfig(command=HELPER + ["--prior", "echo"],
                                      timeout=20.0)) as bridge:
         out = bridge.denoise(img, 0.5)
-        assert np.max(np.abs(out - img)) < 1e-6
+        assert np.array_equal(out, img)
         # repeated round trips over the same process
         out2 = bridge.denoise(img * 2.0 - 0.5, 0.1)
-        assert np.max(np.abs(out2 - (img * 2.0 - 0.5))) < 1e-6
+        assert np.array_equal(out2, img * 2.0 - 0.5)
 
 
 def test_gaussian_helper_matches_in_process_prior():
@@ -116,7 +123,72 @@ def test_gaussian_helper_matches_in_process_prior():
     with BridgeDenoiser(BridgeConfig(command=command, timeout=20.0)) as bridge:
         for sigma in (0.05, 0.3, 1.0):
             out = bridge.denoise(img, sigma)
-            assert np.max(np.abs(out - prior.denoise(img, sigma))) < 1e-6
+            assert np.array_equal(out, prior.denoise(img, sigma))
+
+
+def test_region_grows_between_requests():
+    """The server maps the region at its first request; a larger request
+    grows the file after that, and a smaller one uses its start."""
+    prior = GaussianPrior(mean=0.3, variance=0.02)
+    rng = np.random.default_rng(6)
+    command = HELPER + ["--prior", "gaussian", "--mean", "0.3", "--variance", "0.02"]
+    with BridgeDenoiser(BridgeConfig(command=command, timeout=20.0)) as bridge:
+        for shape in [(8, 8), (64, 48), (8, 8)]:
+            img = rng.random(shape)
+            assert np.array_equal(bridge.denoise(img, 0.1), prior.denoise(img, 0.1))
+
+
+def test_results_never_alias_the_region():
+    """Each reply is copied out of the region before its pixels are checked,
+    so a later round trip leaves an earlier result as it was."""
+    first, second = np.random.default_rng(7).random((2, 6, 7))
+    with BridgeDenoiser(BridgeConfig(command=HELPER + ["--prior", "echo"],
+                                     timeout=20.0)) as bridge:
+        out = bridge.denoise(first, 0.1)
+        bridge.denoise(second, 0.1)
+    assert np.array_equal(out, first)
+
+
+def test_loopback_through_a_shell_wrapper():
+    """The region's descriptor and its environment variable reach a server
+    started behind ``sh -c``."""
+    prior = GaussianPrior(mean=0.3, variance=0.02)
+    img = np.random.default_rng(8).random((9, 4))
+    helper = HELPER + ["--prior", "gaussian", "--mean", "0.3", "--variance", "0.02"]
+    command = ["sh", "-c", shlex.join(helper)]
+    with BridgeDenoiser(BridgeConfig(command=command, timeout=20.0)) as bridge:
+        assert np.array_equal(bridge.denoise(img, 0.2), prior.denoise(img, 0.2))
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+def test_close_releases_descriptors_and_mapping():
+    before = len(os.listdir("/proc/self/fd"))
+    bridge = BridgeDenoiser(BridgeConfig(command=HELPER, timeout=20.0))
+    bridge.denoise(np.zeros((32, 32)), 0.1)
+    assert "pnpd-region" in Path("/proc/self/maps").read_text()
+    bridge.close()
+    assert len(os.listdir("/proc/self/fd")) <= before
+    assert "pnpd-region" not in Path("/proc/self/maps").read_text()
+
+
+def test_region_without_memfd(monkeypatch):
+    """Where ``os.memfd_create`` is missing the region is a temporary file."""
+    monkeypatch.delattr(os, "memfd_create")
+    img = np.random.default_rng(9).random((5, 3))
+    with BridgeDenoiser(BridgeConfig(command=HELPER + ["--prior", "echo"],
+                                     timeout=20.0)) as bridge:
+        assert "memfd" not in os.readlink(f"/proc/self/fd/{bridge._region.fd}")
+        assert np.array_equal(bridge.denoise(img, 0.1), img)
+
+
+def test_helper_without_region_answers_with_error_frame():
+    env = {k: v for k, v in os.environ.items() if k != SHM_FD_ENV}
+    proc = subprocess.run(HELPER, input=encode_request(np.zeros((2, 2)), 0.1),
+                          stdout=subprocess.PIPE, env=env, timeout=30)
+    assert proc.returncode == 1
+    kind, message = read_frame(io.BytesIO(proc.stdout))
+    assert kind == FRAME_ERROR
+    assert SHM_FD_ENV in message
 
 
 def test_dead_process_raises_process_error():
@@ -182,10 +254,10 @@ with BridgeDenoiser(BridgeConfig(command=sys.argv[1:], timeout=1.0)) as bridge:
     ["sh", "-c", shlex.join(_server("import sys; sys.stdin.buffer.read()")) + "; :"],
 ], ids=["never-reads", "wrapped-never-replies"])
 def test_timeout_ends_a_stalled_round_trip(server):
-    """A 256² request overfills the pipe to a server that never reads stdin,
-    and the wrapped server never replies; the timeout ends the blocked write
-    or read, and the killed server stays dead.  The client runs in a
-    subprocess, so a hang fails the test."""
+    """Neither a server that never reads stdin nor a wrapped server that
+    never replies answers; the timeout ends the blocked reply read, and the
+    killed server stays dead.  The client runs in a subprocess, so a hang
+    fails the test."""
     proc = subprocess.run([sys.executable, "-c", _STALLED_CLIENT, *server], capture_output=True,
                           text=True, timeout=30)
     (first, elapsed), (second, _) = [line.split() for line in proc.stdout.splitlines()]
@@ -204,11 +276,14 @@ def test_timeout_stops_server_so_late_reply_is_not_read():
 
 
 _REPLY_PRELUDE = (
-    "import os, struct, sys, time\n"
+    "import mmap, os, struct, sys, time\n"
+    "import numpy as np\n"
     "from pnpdm.bridge import encode_request, encode_response, read_frame\n"
-    "_, img, sigma = read_frame(sys.stdin.buffer)\n"
+    "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
+    "region = mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0)\n"
+    "img = np.frombuffer(region, '<f8', shape[0] * shape[1]).reshape(shape)\n"
     "def raw_response(img):  # encode_response refuses a non-finite pixel\n"
-    "    return b'PNPD' + struct.pack('<III', 2, *img.shape) + img.astype('<f4').tobytes()\n"
+    "    return b'PNPD' + struct.pack('<III', 2, *img.shape)\n"
 )
 
 
@@ -226,9 +301,10 @@ _REPLY_PRELUDE = (
     ("img[1, 2] = float('inf')\n"
      "os.write(1, raw_response(img))\n"
      "sys.stdin.buffer.read()\n", BridgeFrameError),
-    ("while img is not None:\n"
-     "    os.write(1, raw_response(img * float('nan')))\n"
-     "    img = (read_frame(sys.stdin.buffer) or (None, None))[1]\n", BridgeFrameError),
+    ("while shape is not None:\n"
+     "    img *= float('nan')\n"
+     "    os.write(1, raw_response(img))\n"
+     "    shape = (read_frame(sys.stdin.buffer) or (None, None))[1]\n", BridgeFrameError),
 ], ids=["response-in-pieces", "request-frame", "oversized-error", "exit-after-prefix",
         "inf-response", "nan-replies"])
 def test_client_decodes_replies(reply, error):
@@ -236,7 +312,7 @@ def test_client_decodes_replies(reply, error):
     config = BridgeConfig(command=_server(_REPLY_PRELUDE + reply), timeout=20.0)
     with BridgeDenoiser(config) as bridge:
         if error is None:
-            assert np.max(np.abs(bridge.denoise(img, 0.1) - img)) < 1e-6
+            assert np.array_equal(bridge.denoise(img, 0.1), img)
         else:
             with pytest.raises(error):
                 bridge.denoise(img, 0.1)
@@ -259,9 +335,10 @@ def test_error_frame_raises_remote_error():
 def test_shape_mismatch_raises_shape_error():
     script = (
         "import sys, time\n"
+        "import numpy as np\n"
         "from pnpdm.bridge import read_frame, encode_response\n"
-        "_, img, sigma = read_frame(sys.stdin.buffer)\n"
-        "sys.stdout.buffer.write(encode_response(img[:1]))\n"
+        "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
+        "sys.stdout.buffer.write(encode_response(np.zeros((1, shape[1]))))\n"
         "sys.stdout.buffer.flush()\n"
         "time.sleep(5)\n"
     )

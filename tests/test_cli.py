@@ -445,9 +445,26 @@ def test_reconstruct_bridge_command_that_cannot_start_exit_code(tmp_path, capsys
     assert "bridge error" in capsys.readouterr().err
 
 
+def test_reconstruct_bridge_non_finite_reply_exit_code(tmp_path, capsys):
+    """A NaN the server writes into the shared region is a bridge error, and
+    the bridge still closes while that error's traceback holds a view of the
+    region."""
+    script = ("import mmap, os, struct, sys; import numpy as np; "
+              "from pnpdm.bridge import read_frame; "
+              "_, shape, sigma = read_frame(sys.stdin.buffer); "
+              "region = mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0); "
+              "np.frombuffer(region, '<f8')[0] = float('nan'); "
+              "os.write(1, b'PNPD' + struct.pack('<III', 2, *shape)); "
+              "sys.stdin.buffer.read()")
+    cfg = _reconstruct_config(tmp_path, "kind = bridge\ncommand = "
+                              + shlex.join([sys.executable, "-c", script]))
+    assert main(["reconstruct", str(cfg)]) == EXIT_BRIDGE
+    assert "non-finite pixel in the reply" in capsys.readouterr().err
+
+
 def test_reconstruct_bridge_server_that_never_reads_times_out(tmp_path):
-    """256² requests overfill the pipe to a server that never reads stdin;
-    the timeout covers sending them, so the run ends with a bridge error."""
+    """A server that never reads stdin never replies; the timeout bounds the
+    reply read, so the run ends with a bridge error."""
     never_reads = shlex.join([sys.executable, "-c", "import time; time.sleep(60)"])
     cfg = _reconstruct_config(tmp_path, f"kind = bridge\ncommand = {never_reads}\ntimeout = 1",
                               size=128)
