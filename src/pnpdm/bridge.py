@@ -6,25 +6,34 @@ in without binding this package to a deep-learning stack.
 
 Frames, little-endian throughout, carry no pixels:
 
-* request:  magic ``PNPD``, u32 frame-type=1, f64 sigma (finite, > 0),
+* request:         magic ``PNPD``, u32 frame-type=1, f64 sigma (finite, > 0),
   u32 height, u32 width
-* response: magic ``PNPD``, u32 frame-type=2, u32 height, u32 width
-* error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
+* response:        magic ``PNPD``, u32 frame-type=2, u32 height, u32 width
+* error:           magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
+* factor request:  a request with frame-type=4; its reply carries the
+  denoiser's Tweedie factor d estimate/dx too
+* factor response: magic ``PNPD``, u32 frame-type=5, u32 height, u32 width,
+  u32 factor-height, u32 factor-width; the factor is 1x1 (one value for every
+  pixel) or height x width
 
 The pixels sit in one shared memory file per bridge, the region: height*width
-little-endian f64 values row-major from offset 0, so they cross exactly.  The
-client creates the file (a memfd, or an unlinked temporary file where the
-platform has no memfd), hands its descriptor to the server at start and names
-it in the ``PNPD_SHM_FD`` environment variable.  It writes the request image
-into the region before it sends the request frame; the server overwrites it
-with its reply before it sends the response frame.  The client grows the file
-with ``ftruncate`` before a larger request and never shrinks it, so a server
-maps the whole file and maps it again when ``fstat`` reports it larger after
-a request frame.  A NaN or infinite pixel, or a bad sigma, is malformed.
+little-endian f64 values row-major from offset 0, so they cross exactly; a
+factor response's factor follows them.  The client creates the file (a
+memfd, or an unlinked temporary file where the platform has no memfd), hands
+its descriptor to the server at start and names it in the ``PNPD_SHM_FD``
+environment variable.  It writes the request image into the region before it
+sends the request frame; the server overwrites it with its reply before it
+sends the response frame.  The client grows the file with ``ftruncate`` to
+8*height*width bytes before a request, 16*height*width before a factor
+request, and never shrinks it, so a server maps the whole file and maps it
+again when ``fstat`` reports it larger after a request frame.  A NaN or
+infinite pixel, a bad sigma, a factor below 0 or factor dimensions of another
+shape are malformed.
 
 ``read_frame`` is the one decoder, for servers and client alike; the encoders
-raise ``ValueError`` for what the other side refuses, as ``write_image`` does,
-and ``serve`` is the server loop around a denoise function.  A bridge instance
+take the image's shape and raise ``ValueError`` for a frame the other side
+refuses, and the client refuses a non-finite pixel before it sends anything.
+``serve`` is the server loop around a denoise function.  A bridge instance
 serves one request at a time; threads that share it take turns.  The timeout
 covers reading the whole reply.  When it passes, or a malformed reply leaves
 the two sides out of step, the client kills the server's process group, so a
@@ -50,12 +59,15 @@ from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from pnpdm.images import MAX_DIM, as_image, check_finite
+from pnpdm.images import MAX_DIM, as_image
+from pnpdm.prior_step import exact_tweedie, probe_tweedie
 
 MAGIC = b"PNPD"
 FRAME_REQUEST = 1
 FRAME_RESPONSE = 2
 FRAME_ERROR = 3
+FRAME_FACTOR_REQUEST = 4
+FRAME_FACTOR_RESPONSE = 5
 SHM_FD_ENV = "PNPD_SHM_FD"
 
 _PREFIX = struct.Struct("<4sI")
@@ -91,34 +103,37 @@ def _sigma_ok(sigma: float) -> bool:
     return 0.0 < sigma < float("inf")
 
 
-def encode_request(x: np.ndarray, sigma: float) -> bytes:
-    """The request frame for ``x``, whose pixels go through the region."""
-    x = as_image(x)
-    frame = _request_frame(x.shape, sigma)
-    check_finite(x, "image")
-    return frame
-
-
-def encode_response(img: np.ndarray) -> bytes:
-    """The response frame for ``img``, whose pixels go through the region."""
-    img = as_image(img)
-    frame = _response_frame(img.shape)
-    check_finite(img, "image")
-    return frame
-
-
-def _request_frame(shape: tuple[int, int], sigma: float) -> bytes:
-    """``encode_request`` for pixels that ``_fill`` checks."""
+def _request(frame_type: int, shape: tuple[int, int], sigma: float) -> bytes:
     sigma = float(sigma)
     if not _sigma_ok(sigma):
         raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
-    shape = _dims(shape, ValueError)
-    return _PREFIX.pack(MAGIC, FRAME_REQUEST) + struct.pack("<d", sigma) + _DIMS.pack(*shape)
+    return (_PREFIX.pack(MAGIC, frame_type) + struct.pack("<d", sigma)
+            + _DIMS.pack(*_dims(shape, ValueError)))
 
 
-def _response_frame(shape: tuple[int, int]) -> bytes:
-    """``encode_response`` for pixels that ``_fill`` checks."""
+def encode_request(shape: tuple[int, int], sigma: float) -> bytes:
+    """The request frame for an image of ``shape``, whose pixels go through
+    the region."""
+    return _request(FRAME_REQUEST, shape, sigma)
+
+
+def encode_factor_request(shape: tuple[int, int], sigma: float) -> bytes:
+    """The factor request frame for an image of ``shape``."""
+    return _request(FRAME_FACTOR_REQUEST, shape, sigma)
+
+
+def encode_response(shape: tuple[int, int]) -> bytes:
+    """The response frame for an estimate of ``shape``."""
     return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*_dims(shape, ValueError))
+
+
+def encode_factor_response(shape: tuple[int, int], factor_shape: tuple[int, int]) -> bytes:
+    """The factor response frame for an estimate of ``shape`` and a Tweedie
+    factor of ``factor_shape``, which is (1, 1) or ``shape``."""
+    shape = _dims(shape, ValueError)
+    factor_shape = _factor_dims(shape, factor_shape, ValueError)
+    return (_PREFIX.pack(MAGIC, FRAME_FACTOR_RESPONSE) + _DIMS.pack(*shape)
+            + _DIMS.pack(*factor_shape))
 
 
 def encode_error(message: str) -> bytes:
@@ -129,8 +144,9 @@ def encode_error(message: str) -> bytes:
 def read_frame(stream: BinaryIO):
     """Read one frame from a blocking stream; None on clean EOF at a boundary.
 
-    Returns (FRAME_REQUEST, (height, width), sigma), (FRAME_RESPONSE,
-    (height, width)) or (FRAME_ERROR, message).
+    Returns (FRAME_REQUEST or FRAME_FACTOR_REQUEST, (height, width), sigma),
+    (FRAME_RESPONSE, (height, width)), (FRAME_FACTOR_RESPONSE, (height, width),
+    (factor-height, factor-width)) or (FRAME_ERROR, message).
     """
     prefix = stream.read(_PREFIX.size)
     if not prefix:
@@ -140,14 +156,18 @@ def read_frame(stream: BinaryIO):
     magic, frame_type = _PREFIX.unpack(prefix)
     if magic != MAGIC:
         raise BridgeFrameError(f"bad magic {magic!r}")
-    if frame_type == FRAME_REQUEST:
+    if frame_type in (FRAME_REQUEST, FRAME_FACTOR_REQUEST):
         head = _read_exact(stream, 8 + _DIMS.size)
         (sigma,) = struct.unpack_from("<d", head)
         if not _sigma_ok(sigma):
             raise BridgeFrameError(f"request sigma {sigma} is not finite and > 0")
-        return FRAME_REQUEST, _dims(_DIMS.unpack_from(head, 8)), sigma
+        return frame_type, _dims(_DIMS.unpack_from(head, 8)), sigma
     if frame_type == FRAME_RESPONSE:
         return FRAME_RESPONSE, _dims(_DIMS.unpack(_read_exact(stream, _DIMS.size)))
+    if frame_type == FRAME_FACTOR_RESPONSE:
+        body = _read_exact(stream, 2 * _DIMS.size)
+        shape = _dims(_DIMS.unpack_from(body))
+        return FRAME_FACTOR_RESPONSE, shape, _factor_dims(shape, _DIMS.unpack_from(body, 8))
     if frame_type == FRAME_ERROR:
         (length,) = struct.unpack("<I", _read_exact(stream, 4))
         if length > 1 << 20:
@@ -171,6 +191,15 @@ def _dims(shape: tuple[int, int],
     return shape
 
 
+def _factor_dims(shape: tuple[int, int], factor_shape: tuple[int, int],
+                 error: type[Exception] = BridgeFrameError) -> tuple[int, int]:
+    factor_shape = tuple(factor_shape)
+    if factor_shape not in ((1, 1), tuple(shape)):
+        raise error(f"factor dimensions {factor_shape} are neither (1, 1) nor the "
+                    f"estimate's {tuple(shape)}")
+    return factor_shape
+
+
 def _check_pixels(img: np.ndarray, what: str, error: type[Exception] = BridgeFrameError):
     if not np.isfinite(img).all():
         raise error(f"non-finite pixel in the {what}")
@@ -187,6 +216,13 @@ def _fill(dst: np.ndarray, src: np.ndarray, what: str,
         _check_pixels(dst[i:i + rows], what, error)
 
 
+def _fill_factor(dst: np.ndarray, factor, error: type[Exception]):
+    """``_fill`` for a Tweedie factor, which must be >= 0 as well."""
+    _fill(dst, np.reshape(factor, dst.shape), "Tweedie factor", error)
+    if dst.min() < 0:
+        raise error("negative value in the Tweedie factor")
+
+
 class _Region:
     """The shared pixel region of one bridge, mapped whole."""
 
@@ -194,21 +230,21 @@ class _Region:
         self.fd = fd
         self._map: mmap.mmap | None = None
 
-    def pixels(self, shape: tuple[int, int], grow: bool = False) -> np.ndarray:
-        """The region's first h*w pixels as an (h, w) view; ``grow`` (the
+    def values(self, count: int, grow: bool = False) -> np.ndarray:
+        """A view of the region's first ``count`` f64 values; ``grow`` (the
         client's side) makes the file large enough first."""
-        need = 8 * shape[0] * shape[1]
+        need = 8 * count
         size = os.fstat(self.fd).st_size
         if grow and size < need:
             os.ftruncate(self.fd, need)
             size = need
         if size < need:
             raise BridgeFrameError(f"the shared region holds {size} bytes, "
-                                   f"a {shape[0]}x{shape[1]} image needs {need}")
+                                   f"the frame needs {need}")
         if self._map is None or len(self._map) < size:
             # a map still viewed stays open until its last view goes
             self._map = mmap.mmap(self.fd, size)
-        return np.frombuffer(self._map, "<f8", need // 8).reshape(shape)
+        return np.frombuffer(self._map, "<f8", count)
 
     def close(self):
         # unmapped now, or, while an exception's traceback still holds a
@@ -228,31 +264,53 @@ def _region_from_env() -> _Region:
 def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
     """Answer request frames on stdin with ``denoise(image, sigma)`` until EOF.
 
-    ``image`` is a view of the region, which the result then overwrites.  A
-    malformed request, or a region that cannot hold it, is answered with an
-    error frame and ends the loop with 1; a clean EOF ends it with 0.  A
-    result with a non-finite pixel raises ``ValueError``.
+    A factor request is answered with the estimate and its Tweedie factor,
+    as ``prior_refine`` would get them in process: from the
+    ``denoise_with_tweedie`` of the object ``denoise`` is bound to, where it
+    offers one, else from ``probe_tweedie``'s two calls, whose estimate comes
+    back clipped as ``prior_refine`` clips it.  ``image`` is a view of the
+    region, which the reply then overwrites.  A malformed request, or a
+    region that cannot hold it, is answered with an error frame and ends the
+    loop with 1; a clean EOF ends it with 0.  A result with a non-finite
+    pixel, or a factor that is negative or not 1x1 or the estimate's shape,
+    raises ``ValueError``.
     """
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+    exact = exact_tweedie(denoise)
     region = None
     while True:
         try:
             frame = read_frame(stdin)
             if frame is None:
                 return 0
-            if frame[0] != FRAME_REQUEST:
+            if frame[0] not in (FRAME_REQUEST, FRAME_FACTOR_REQUEST):
                 raise BridgeFrameError(f"expected a request frame, got type {frame[0]}")
-            _, shape, sigma = frame
+            kind, shape, sigma = frame
             region = region or _region_from_env()
-            image = region.pixels(shape)
+            image = region.values(shape[0] * shape[1]).reshape(shape)
             _check_pixels(image, "request")
         except (BridgeError, OSError) as exc:
             stdout.write(encode_error(str(exc)))
             stdout.flush()
             return 1
-        result = as_image(denoise(image, sigma))
-        reply = _response_frame(result.shape)
-        _fill(region.pixels(result.shape), result, "reply", ValueError)
+        if kind == FRAME_REQUEST:
+            result, factor = denoise(image, sigma), None
+        elif exact is not None:
+            result, factor = exact(image, sigma)
+        else:
+            result, factor = probe_tweedie(denoise, image, sigma, np.empty(shape),
+                                           np.empty(shape))
+        result = as_image(result)
+        n = result.size
+        if factor is None:
+            reply = encode_response(result.shape)
+            values = region.values(n)
+        else:
+            factor_shape = (1, 1) if np.ndim(factor) == 0 else np.shape(factor)
+            reply = encode_factor_response(result.shape, factor_shape)
+            values = region.values(n + factor_shape[0] * factor_shape[1])
+            _fill_factor(values[n:].reshape(factor_shape), factor, ValueError)
+        _fill(values[:n].reshape(result.shape), result, "reply", ValueError)
         stdout.write(reply)
         stdout.flush()
 
@@ -333,27 +391,45 @@ class BridgeDenoiser:
             raise BridgeProcessError(f"cannot start external process: {exc}") from exc
 
     def denoise(self, x: np.ndarray, sigma: float) -> np.ndarray:
+        """The server's estimate of the clean image, in a new array."""
+        return self._round_trip(x, sigma, False)[0]
+
+    def denoise_with_tweedie(self, x: np.ndarray,
+                             sigma: float) -> tuple[np.ndarray, np.ndarray | float]:
+        """``denoise``'s estimate and the Tweedie factor d estimate/dx, finite
+        and >= 0, in one round trip: a float when the server sends one value,
+        else a new array of x's shape."""
+        return self._round_trip(x, sigma, True)
+
+    def _round_trip(self, x: np.ndarray, sigma: float, factor: bool):
         x = as_image(x)
-        request = _request_frame(x.shape, sigma)
+        n = x.size
+        if factor:
+            request, expected = encode_factor_request(x.shape, sigma), FRAME_FACTOR_RESPONSE
+        else:
+            request, expected = encode_request(x.shape, sigma), FRAME_RESPONSE
         with self._lock:
             self._ensure_alive()
             proc = self._proc
             try:
-                region = self._region.pixels(x.shape, grow=True)
+                region = self._region.values(2 * n if factor else n, grow=True)
             except OSError as exc:
                 raise BridgeError(f"cannot grow the shared region: {exc}") from exc
-            # refused as encode_request refuses, before anything is sent
-            _fill(region, x, "request", ValueError)
+            # refused before anything is sent, as the server refuses it
+            _fill(region[:n].reshape(x.shape), x, "request", ValueError)
             try:
                 # a request frame fits an empty pipe, so only the reply can stall
                 proc.stdin.write(request)
                 frame = read_frame(_PipeReader(proc, self.config.timeout))
-                if frame[0] == FRAME_REQUEST:
+                if frame[0] not in (expected, FRAME_ERROR):
                     raise BridgeFrameError(f"unexpected frame type {frame[0]} from server")
-                if frame[0] == FRAME_RESPONSE and frame[1] == x.shape:
-                    response = np.empty(x.shape)
-                    # the copy is checked, so the server cannot change it later
-                    _fill(response, region, "reply")
+                if frame[0] == expected and frame[1] == x.shape:
+                    # the copies are checked, so the server cannot change them later
+                    estimate, tweedie = np.empty(x.shape), None
+                    _fill(estimate, region[:n].reshape(x.shape), "reply")
+                    if factor:
+                        tweedie = np.empty(frame[2])
+                        _fill_factor(tweedie, region[n:n + tweedie.size], BridgeFrameError)
             except (BridgeError, OSError) as exc:
                 # a partial or unread reply would answer the next request
                 _kill(proc)
@@ -365,7 +441,9 @@ class BridgeDenoiser:
             raise BridgeRemoteError(frame[1])
         if frame[1] != x.shape:
             raise BridgeShapeError(f"response shape {frame[1]} != request shape {x.shape}")
-        return response
+        if tweedie is not None and tweedie.size == 1:
+            tweedie = float(tweedie[0, 0])
+        return estimate, tweedie
 
     def _ensure_alive(self):
         if self._proc is None or self._proc.poll() is not None:

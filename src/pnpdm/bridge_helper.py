@@ -7,7 +7,10 @@ shares with it::
     python -m pnpdm.bridge_helper --prior gaussian --mean 0.5 --variance 0.04
     python -m pnpdm.bridge_helper --prior echo
 
-``--delay`` sleeps before each response (timeout testing).
+The Gaussian prior is served as its bound ``denoise``, so a factor request
+gets the exact scalar gain.  ``--delay`` sleeps before each denoiser call
+(timeout testing); the function that sleeps is a plain one, so a factor
+request then goes through the black-box probe.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ def serve(argv=None) -> int:
     args = parser.parse_args(argv)
 
     prior = GaussianPrior(mean=args.mean, variance=args.variance)
+    denoise = prior.denoise if args.prior == "gaussian" else lambda image, sigma: image
 
-    def denoise(image, sigma):
-        if args.delay > 0:
-            time.sleep(args.delay)
-        return image if args.prior == "echo" else prior.denoise(image, sigma)
+    def delayed(image, sigma):
+        time.sleep(args.delay)
+        return denoise(image, sigma)
 
-    return serve_frames(denoise)
+    return serve_frames(delayed if args.delay > 0 else denoise)
 
 
 if __name__ == "__main__":

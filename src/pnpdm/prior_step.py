@@ -23,9 +23,11 @@ The injected noise carries the exact reverse-transition variance
 where J is the per-pixel Tweedie factor d denoise/dx (the conditional
 variance of the clean pixel is sigma^2 J).  A denoiser that is a bound method
 of an object offering ``denoise_with_tweedie(x, sigma) -> (estimate, J)``, as
-the analytic priors do, supplies J exactly with its estimate, in one call per
-step; between the modes of a mixture J exceeds 1.  Any other denoiser is a
-black box: J is estimated by one finite-difference probe call per step,
+the analytic priors and the bridge client do, supplies J with its estimate, in
+one call per step; between the modes of a mixture J exceeds 1.  Any other
+denoiser is a black box: a plain callable, or, behind the bridge, a served
+function whose owner has no factor of its own.  For it ``probe_tweedie``
+estimates J by one finite-difference call per step,
 (denoise(x + eps) - denoise(x)) / eps, clipped below at 0.  For Gaussian
 priors each step sigma -> sigma' >= sigma_floor is an exact transition, so
 the step count controls cost rather than bias; a plain first-order noise term
@@ -102,6 +104,24 @@ def _clipped(estimate: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.clip(estimate, _CLAMP_LO, _CLAMP_HI, out=out)
 
 
+def exact_tweedie(denoise: Denoiser):
+    """The ``denoise_with_tweedie`` of the object ``denoise`` is bound to, or None."""
+    return getattr(getattr(denoise, "__self__", None), "denoise_with_tweedie", None)
+
+
+def probe_tweedie(denoise: Denoiser, x: np.ndarray, sigma: float, step: np.ndarray,
+                  out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The black-box estimate and Tweedie factor at x: clip(denoise(x, sigma))
+    into ``step``, then (clip(denoise(x + eps, sigma)) - step) / eps, clipped
+    below at 0, into ``out``.  The first call's output is released before the
+    second call; x is not written.  Returns (step, out)."""
+    _clipped(denoise(x, sigma), step)
+    tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=out), sigma), out)
+    tweedie -= step
+    tweedie /= _PROBE_EPS
+    return step, np.maximum(tweedie, 0.0, out=tweedie)
+
+
 def _noise_scale(tweedie: np.ndarray | float, base: float, slope: float,
                  out: np.ndarray) -> np.ndarray | float:
     """sqrt(base + slope * tweedie), in ``out`` unless the factor is a scalar."""
@@ -128,23 +148,17 @@ def prior_refine(z: np.ndarray, rho: float, denoise: Denoiser, cfg: SdeConfig,
     """
     z = np.asarray(z, dtype=np.float64)
     grid = sigma_grid(rho, cfg)
-    exact = getattr(getattr(denoise, "__self__", None), "denoise_with_tweedie", None)
+    exact = exact_tweedie(denoise)
     x = z.copy()
     step, var = np.empty_like(x), np.empty_like(x)
     for sigma, sigma_next in zip(grid[:-1], grid[1:]):
         sigma = float(sigma)
         if exact is not None:
             estimate, tweedie = exact(x, sigma)
+            _clipped(estimate, step)
+            del estimate  # before the next step's call
         else:
-            estimate, tweedie = denoise(x, sigma), None
-        _clipped(estimate, step)
-        del estimate  # before the probe's call
-        if tweedie is None:
-            # (clip(denoise(x + eps)) - clip(denoise(x))) / eps, clipped below at 0
-            tweedie = _clipped(denoise(np.add(x, _PROBE_EPS, out=var), sigma), var)
-            tweedie -= step
-            tweedie /= _PROBE_EPS
-            np.maximum(tweedie, 0.0, out=tweedie)
+            _, tweedie = probe_tweedie(denoise, x, sigma, step, var)
         shrink = 1.0 - sigma_next**2 / sigma**2
         scale = _noise_scale(tweedie, sigma_next**2 * shrink, shrink**2 * sigma**2, var)
         del tweedie  # before the next step's call

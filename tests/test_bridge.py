@@ -3,6 +3,7 @@
 import io
 import os
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -11,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnpdm.analytic import GaussianPrior
+from pnpdm.analytic import GaussianPrior, GmmPrior
 from pnpdm.bridge import (
     FRAME_ERROR,
+    FRAME_FACTOR_REQUEST,
+    FRAME_FACTOR_RESPONSE,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     MAGIC,
@@ -26,11 +29,17 @@ from pnpdm.bridge import (
     BridgeTimeoutError,
     SHM_FD_ENV,
     encode_error,
+    encode_factor_request,
+    encode_factor_response,
     encode_request,
     encode_response,
     read_frame,
 )
 from pnpdm.images import MAX_DIM
+from pnpdm.likelihood import LikelihoodModel
+from pnpdm.operators import block_average_downsample
+from pnpdm.prior_step import SdeConfig, prior_refine
+from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, run_chain
 
 HELPER = [sys.executable, "-m", "pnpdm.bridge_helper"]
 
@@ -40,32 +49,60 @@ def _server(script: str) -> list[str]:
 
 
 def test_request_frame_round_trip():
-    img = np.random.default_rng(0).standard_normal((3, 5))
-    request = encode_request(img, 0.25)
-    assert len(request) == 24  # the pixels go through the region
-    assert read_frame(io.BytesIO(request)) == (FRAME_REQUEST, (3, 5), 0.25)
+    for encode, kind in [(encode_request, FRAME_REQUEST),
+                         (encode_factor_request, FRAME_FACTOR_REQUEST)]:
+        request = encode((3, 5), 0.25)
+        assert len(request) == 24  # the pixels go through the region
+        assert read_frame(io.BytesIO(request)) == (kind, (3, 5), 0.25)
 
 
 def test_response_and_error_frame_round_trip():
-    img = np.random.default_rng(1).random((4, 2))
-    assert read_frame(io.BytesIO(encode_response(img))) == (FRAME_RESPONSE, (4, 2))
+    assert read_frame(io.BytesIO(encode_response((4, 2)))) == (FRAME_RESPONSE, (4, 2))
+    for factor_shape in [(1, 1), (4, 2)]:
+        frame = encode_factor_response((4, 2), factor_shape)
+        assert read_frame(io.BytesIO(frame)) == (FRAME_FACTOR_RESPONSE, (4, 2), factor_shape)
     kind, message = read_frame(io.BytesIO(encode_error("denoiser busted")))
     assert kind == FRAME_ERROR
     assert message == "denoiser busted"
 
 
-@pytest.mark.parametrize("encode", [lambda img: encode_request(img, 0.25), encode_response],
-                         ids=["request", "response"])
+@pytest.mark.parametrize("encode", [
+    lambda shape: encode_request(shape, 0.25),
+    lambda shape: encode_factor_request(shape, 0.25),
+    encode_response,
+    lambda shape: encode_factor_response(shape, shape),
+], ids=["request", "factor-request", "response", "factor-response"])
 def test_encoders_refuse_what_read_frame_refuses(encode):
-    frame = read_frame(io.BytesIO(encode(np.zeros((MAX_DIM, 1)))))
+    frame = read_frame(io.BytesIO(encode((MAX_DIM, 1))))
     assert frame[1] == (MAX_DIM, 1)
     for shape in [(MAX_DIM + 1, 1), (1, MAX_DIM + 1)]:
         with pytest.raises(ValueError, match=f"<= {MAX_DIM}"):
-            encode(np.zeros(shape))
-    for img in (np.full((2, 2), np.nan), np.array([[0.0, np.inf]])):
-        with pytest.raises(ValueError, match="non-finite pixel"):
-            encode(img)
-    encode(np.array([[0.0, 1e39]]))  # inf as f32, but pixels cross as f64
+            encode(shape)
+
+
+@pytest.mark.parametrize("factor_shape", [(1, 5), (3, 1), (5, 3), (2, 2)])
+def test_factor_dims_are_one_by_one_or_the_estimates(factor_shape):
+    with pytest.raises(ValueError, match="neither"):
+        encode_factor_response((3, 5), factor_shape)
+    frame = MAGIC + struct.pack("<5I", FRAME_FACTOR_RESPONSE, 3, 5, *factor_shape)
+    with pytest.raises(BridgeFrameError, match="neither"):
+        read_frame(io.BytesIO(frame))
+
+
+def test_client_refuses_a_non_finite_image_before_sending():
+    """A NaN or infinite pixel raises ``ValueError`` and sends no frame: the
+    server fills each answer with the number of requests it has seen, and
+    its first answer is to the request after them."""
+    script = ("import itertools\nimport numpy as np\nfrom pnpdm.bridge import serve\n"
+              "seen = itertools.count(1)\n"
+              "serve(lambda image, sigma: np.full_like(image, next(seen)))\n")
+    with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
+        for img in (np.full((2, 2), np.nan), np.array([[0.0, np.inf]])):
+            for call in (bridge.denoise, bridge.denoise_with_tweedie):
+                with pytest.raises(ValueError, match="non-finite pixel in the request"):
+                    call(img, 0.1)
+        # inf as f32, but pixels cross as f64
+        assert np.array_equal(bridge.denoise(np.array([[0.0, 1e39]]), 0.1), [[1.0, 1.0]])
 
 
 @pytest.mark.parametrize("transpose,reply", [(True, "image"),
@@ -90,7 +127,7 @@ def test_read_frame_eof_and_truncation():
         read_frame(io.BytesIO(b"XXXX" + b"\x01\x00\x00\x00"))
     with pytest.raises(BridgeFrameError):
         read_frame(io.BytesIO(MAGIC + (99).to_bytes(4, "little")))
-    truncated = encode_response(np.zeros((4, 4)))[:-6]
+    truncated = encode_response((4, 4))[:-6]
     with pytest.raises(BridgeFrameError):
         read_frame(io.BytesIO(truncated))
     for h, w in [(0, 1), (1, MAX_DIM + 1)]:
@@ -128,7 +165,9 @@ def test_gaussian_helper_matches_in_process_prior():
 
 def test_region_grows_between_requests():
     """The server maps the region at its first request; a larger request
-    grows the file after that, and a smaller one uses its start."""
+    grows the file after that, and a smaller one uses its start: for plain
+    requests, then for factor requests through a second bridge.  The
+    helper's Gaussian prior sends its factor as one value, a float."""
     prior = GaussianPrior(mean=0.3, variance=0.02)
     rng = np.random.default_rng(6)
     command = HELPER + ["--prior", "gaussian", "--mean", "0.3", "--variance", "0.02"]
@@ -136,6 +175,13 @@ def test_region_grows_between_requests():
         for shape in [(8, 8), (64, 48), (8, 8)]:
             img = rng.random(shape)
             assert np.array_equal(bridge.denoise(img, 0.1), prior.denoise(img, 0.1))
+    with BridgeDenoiser(BridgeConfig(command=command, timeout=20.0)) as bridge:
+        for shape in [(8, 8), (64, 48), (8, 8)]:
+            img = rng.random(shape)
+            estimate, tweedie = bridge.denoise_with_tweedie(img, 0.1)
+            want_estimate, want_tweedie = prior.denoise_with_tweedie(img, 0.1)
+            assert np.array_equal(estimate, want_estimate)
+            assert type(tweedie) is float and tweedie == want_tweedie
 
 
 def test_results_never_alias_the_region():
@@ -183,7 +229,7 @@ def test_region_without_memfd(monkeypatch):
 
 def test_helper_without_region_answers_with_error_frame():
     env = {k: v for k, v in os.environ.items() if k != SHM_FD_ENV}
-    proc = subprocess.run(HELPER, input=encode_request(np.zeros((2, 2)), 0.1),
+    proc = subprocess.run(HELPER, input=encode_request((2, 2), 0.1),
                           stdout=subprocess.PIPE, env=env, timeout=30)
     assert proc.returncode == 1
     kind, message = read_frame(io.BytesIO(proc.stdout))
@@ -282,18 +328,18 @@ _REPLY_PRELUDE = (
     "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
     "region = mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0)\n"
     "img = np.frombuffer(region, '<f8', shape[0] * shape[1]).reshape(shape)\n"
-    "def raw_response(img):  # encode_response refuses a non-finite pixel\n"
+    "def raw_response(img):\n"
     "    return b'PNPD' + struct.pack('<III', 2, *img.shape)\n"
 )
 
 
 @pytest.mark.parametrize("reply,error", [
-    ("data = encode_response(img)\n"
+    ("data = encode_response(img.shape)\n"
      "for piece in (data[:3], data[3:13], data[13:]):\n"
      "    os.write(1, piece)\n"
      "    time.sleep(0.05)\n"
      "sys.stdin.buffer.read()\n", None),
-    ("os.write(1, encode_request(img, sigma))\n"
+    ("os.write(1, encode_request(img.shape, sigma))\n"
      "sys.stdin.buffer.read()\n", BridgeFrameError),
     ("os.write(1, b'PNPD' + (3).to_bytes(4, 'little') + (2 << 20).to_bytes(4, 'little'))\n"
      "sys.stdin.buffer.read()\n", BridgeFrameError),
@@ -318,6 +364,114 @@ def test_client_decodes_replies(reply, error):
                 bridge.denoise(img, 0.1)
 
 
+_FACTOR_PRELUDE = (
+    "import mmap, os, sys\n"
+    "import numpy as np\n"
+    "from pnpdm.bridge import read_frame\n"
+    "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
+    "n = shape[0] * shape[1]\n"
+    "values = np.frombuffer(mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0), '<f8')\n"
+)
+
+
+@pytest.mark.parametrize("factor,header,error", [
+    ("0.5", "5, *shape, 1, 1", None),
+    ("np.linspace(0.0, 2.0, n)", "5, *shape, *shape", None),
+    ("float('nan')", "5, *shape, 1, 1", "non-finite"),
+    ("float('inf')", "5, *shape, 1, 1", "non-finite"),
+    ("-1e-300", "5, *shape, 1, 1", "negative"),
+    ("np.where(np.arange(n) == 7, np.nan, 0.5)", "5, *shape, *shape", "non-finite"),
+    ("np.where(np.arange(n) == 7, -0.5, 0.5)", "5, *shape, *shape", "negative"),
+    ("0.5", "5, *shape, 1, shape[1]", "neither"),
+    ("0.5", "5, *shape, *shape[::-1]", "neither"),
+    ("0.5", "2, *shape", "unexpected frame type 2"),
+], ids=["scalar", "per-pixel", "nan", "inf", "negative", "nan-pixel", "negative-pixel",
+        "row-dims", "transposed-dims", "plain-response"])
+def test_client_checks_factor_replies(factor, header, error):
+    """The server echoes the image and writes ``factor`` after it.  A factor
+    that is not finite and >= 0, factor dims neither 1x1 nor the image's, or a
+    plain response to a factor request is a frame error, and the client kills
+    the server."""
+    img = np.random.default_rng(5).random((3, 5))
+    script = (_FACTOR_PRELUDE + f"values[n:2 * n] = {factor}\n"
+              f"os.write(1, b'PNPD' + np.array([{header}], '<u4').tobytes())\n"
+              "sys.stdin.buffer.read()\n")
+    with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
+        if error is None:
+            estimate, tweedie = bridge.denoise_with_tweedie(img, 0.1)
+            assert np.array_equal(estimate, img)
+            if np.ndim(tweedie):
+                assert np.array_equal(tweedie, np.linspace(0.0, 2.0, img.size).reshape(3, 5))
+            else:
+                assert tweedie == 0.5
+        else:
+            with pytest.raises(BridgeFrameError, match=error):
+                bridge.denoise_with_tweedie(img, 0.1)
+            assert bridge._proc.returncode == -signal.SIGKILL
+
+
+_GMM = {"weights": [0.6, 0.4], "means": [0.2, 0.6], "variances": [0.002, 0.003]}
+_GMM_SERVER = (
+    "import numpy as np\nfrom pnpdm.analytic import GmmPrior\nfrom pnpdm.bridge import serve\n"
+    f"prior = GmmPrior(**{{k: np.array(v) for k, v in {_GMM!r}.items()}})\n"
+)
+
+
+@pytest.mark.parametrize("served", ["helper-gaussian", "gmm", "gmm-lambda"])
+def test_bridged_chain_equals_in_process_chain(served):
+    """A chain run through the bridge gives the in-process chain's bits: the
+    helper's Gaussian sends a 1x1 factor, ``serve(prior.denoise)`` with a
+    mixture an h x w one, and a plain function's server the factor of the
+    probe that ``prior_refine`` runs for that function in process."""
+    if served == "helper-gaussian":
+        denoise = GaussianPrior(mean=0.45, variance=0.09).denoise
+        command = HELPER + ["--prior", "gaussian", "--mean", "0.45", "--variance", "0.09"]
+    else:
+        prior = GmmPrior(**{k: np.array(v) for k, v in _GMM.items()})
+        denoise = prior.denoise
+        script = _GMM_SERVER + "serve(prior.denoise)\n"
+        if served == "gmm-lambda":
+            denoise = lambda x, sigma: prior.denoise(x, sigma)  # noqa: E731
+            script = _GMM_SERVER + "serve(lambda x, sigma: prior.denoise(x, sigma))\n"
+        command = _server(script)
+    op = block_average_downsample(2, 16, 12)
+    model = LikelihoodModel(operator=op, noise_sigma=0.05,
+                            measurement=np.random.default_rng(9).random(op.out_shape))
+    run = (AnnealSchedule(rho0=1.0, rho_min=0.1), SdeConfig(num_steps=4, sigma_floor=0.01),
+           RunConfig(iterations=6, burn_in=2, seed=5), initialize(model))
+    want, _ = run_chain(model, denoise, *run)
+    with BridgeDenoiser(BridgeConfig(command=command, timeout=20.0)) as bridge:
+        got, _ = run_chain(model, bridge.denoise, *run)
+    assert len(got) == len(want) == 4
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_refine_makes_one_round_trip_per_step(tmp_path):
+    """A 4-step refine through the bridge is 4 factor requests, answered by
+    the server's ``denoise_with_tweedie``, and 1 request for the final jump."""
+    script = (
+        "import sys\n"
+        "from pnpdm.analytic import GaussianPrior\nfrom pnpdm.bridge import serve\n"
+        "class Counting:\n"
+        "    prior, seen = GaussianPrior(mean=0.5, variance=0.04), []\n"
+        "    def denoise(self, x, sigma):\n"
+        "        self.seen.append('denoise')\n"
+        "        return self.prior.denoise(x, sigma)\n"
+        "    def denoise_with_tweedie(self, x, sigma):\n"
+        "        self.seen.append('factor')\n"
+        "        return self.prior.denoise_with_tweedie(x, sigma)\n"
+        "owner = Counting()\n"
+        "serve(owner.denoise)\n"
+        "open(sys.argv[1], 'w').write(' '.join(owner.seen))\n"
+    )
+    seen = tmp_path / "seen.txt"
+    with BridgeDenoiser(BridgeConfig(command=_server(script) + [str(seen)],
+                                     timeout=20.0)) as bridge:
+        prior_refine(np.full((6, 4), 0.3), 0.6, bridge.denoise,
+                     SdeConfig(num_steps=4, sigma_floor=0.02), np.random.default_rng(0))
+    assert seen.read_text().split() == ["factor"] * 4 + ["denoise"]
+
+
 def test_error_frame_raises_remote_error():
     script = (
         "import sys, time\n"
@@ -335,10 +489,9 @@ def test_error_frame_raises_remote_error():
 def test_shape_mismatch_raises_shape_error():
     script = (
         "import sys, time\n"
-        "import numpy as np\n"
         "from pnpdm.bridge import read_frame, encode_response\n"
         "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
-        "sys.stdout.buffer.write(encode_response(np.zeros((1, shape[1]))))\n"
+        "sys.stdout.buffer.write(encode_response((1, shape[1])))\n"
         "sys.stdout.buffer.flush()\n"
         "time.sleep(5)\n"
     )
@@ -350,7 +503,7 @@ def test_shape_mismatch_raises_shape_error():
 def test_helper_rejects_non_request_frame():
     proc = subprocess.run(
         HELPER,
-        input=encode_response(np.zeros((2, 2))),
+        input=encode_response((2, 2)),
         stdout=subprocess.PIPE,
         timeout=30,
     )
@@ -363,7 +516,7 @@ def test_helper_rejects_non_request_frame():
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1, 0.0])
 def test_request_sigma_must_be_finite_and_positive(sigma):
     with pytest.raises(ValueError, match="sigma"):
-        encode_request(np.full((2, 2), 0.5), sigma)
+        encode_request((2, 2), sigma)
     # so the frame is made by hand
     request = (MAGIC + struct.pack("<IdII", FRAME_REQUEST, sigma, 2, 2)
                + np.full((2, 2), 0.5, dtype="<f4").tobytes())
