@@ -6,29 +6,28 @@ in without binding this package to a deep-learning stack.
 
 Frames, little-endian throughout, carry no pixels:
 
-* request:         magic ``PNPD``, u32 frame-type=1, f64 sigma (finite, > 0),
-  u32 height, u32 width
-* response:        magic ``PNPD``, u32 frame-type=2, u32 height, u32 width
-* error:           magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
-* factor request:  a request with frame-type=4; its reply carries the
-  denoiser's Tweedie factor d estimate/dx too
-* factor response: magic ``PNPD``, u32 frame-type=5, u32 height, u32 width,
-  u32 factor-height, u32 factor-width; the factor is 1x1 (one value for every
-  pixel) or height x width
+* request:  magic ``PNPD``, u32 frame-type=1, f64 sigma (finite, > 0),
+  u32 height, u32 width, u32 factor (1 asks for the denoiser's Tweedie
+  factor d estimate/dx with the estimate, 0 does not)
+* response: magic ``PNPD``, u32 frame-type=2, u32 height, u32 width,
+  u32 factor-height, u32 factor-width; the factor is 0x0 when none was
+  asked, else 1x1 (one value for every pixel) or height x width
+* error:    magic ``PNPD``, u32 frame-type=3, u32 byte-length, UTF-8 message
 
 The pixels sit in one shared memory file per bridge, the region: height*width
-little-endian f64 values row-major from offset 0, so they cross exactly; a
-factor response's factor follows them.  The client creates the file (a
-memfd, or an unlinked temporary file where the platform has no memfd), hands
-its descriptor to the server at start and names it in the ``PNPD_SHM_FD``
-environment variable.  It writes the request image into the region before it
-sends the request frame; the server overwrites it with its reply before it
-sends the response frame.  The client grows the file with ``ftruncate`` to
-8*height*width bytes before a request, 16*height*width before a factor
-request, and never shrinks it, so a server maps the whole file and maps it
-again when ``fstat`` reports it larger after a request frame.  A NaN or
-infinite pixel, a bad sigma, a factor below 0 or factor dimensions of another
-shape are malformed.
+little-endian f64 values row-major from offset 0, so they cross exactly; the
+factor follows them.  The client creates the file (a memfd, or an unlinked
+temporary file where the platform has no memfd), hands its descriptor to the
+server at start and names it in the ``PNPD_SHM_FD`` environment variable.
+It writes the request image into the region before it sends the request
+frame; the server overwrites it with its reply before it sends the response
+frame.  The client grows the file with ``ftruncate`` to 8*height*width bytes
+before a request, 16*height*width before one that asks for a factor, and
+never shrinks it, so a server maps the whole file and maps it again when
+``fstat`` reports it larger after a request frame.  A NaN or infinite pixel,
+a bad sigma, a factor field other than 0 or 1, a factor below 0, factor
+dimensions of another shape, and factor dimensions that do not answer the
+request (0x0 when a factor was asked, others when it was not) are malformed.
 
 ``read_frame`` is the one decoder, for servers and client alike; the encoders
 take the image's shape and raise ``ValueError`` for a frame the other side
@@ -66,12 +65,11 @@ MAGIC = b"PNPD"
 FRAME_REQUEST = 1
 FRAME_RESPONSE = 2
 FRAME_ERROR = 3
-FRAME_FACTOR_REQUEST = 4
-FRAME_FACTOR_RESPONSE = 5
 SHM_FD_ENV = "PNPD_SHM_FD"
 
 _PREFIX = struct.Struct("<4sI")
-_DIMS = struct.Struct("<II")
+_REQUEST = struct.Struct("<dIII")  # sigma, height, width, factor
+_RESPONSE = struct.Struct("<IIII")  # height, width, factor-height, factor-width
 _POLL_MAX_MS = 2**31 - 1  # poll(2) takes a C int of milliseconds
 
 
@@ -103,37 +101,22 @@ def _sigma_ok(sigma: float) -> bool:
     return 0.0 < sigma < float("inf")
 
 
-def _request(frame_type: int, shape: tuple[int, int], sigma: float) -> bytes:
+def encode_request(shape: tuple[int, int], sigma: float, factor: bool = False) -> bytes:
+    """The request frame for an image of ``shape``, whose pixels go through
+    the region; ``factor`` asks for the Tweedie factor with the estimate."""
     sigma = float(sigma)
     if not _sigma_ok(sigma):
         raise ValueError(f"request sigma must be finite and > 0, got {sigma}")
-    return (_PREFIX.pack(MAGIC, frame_type) + struct.pack("<d", sigma)
-            + _DIMS.pack(*_dims(shape, ValueError)))
+    return (_PREFIX.pack(MAGIC, FRAME_REQUEST)
+            + _REQUEST.pack(sigma, *_dims(shape, ValueError), 1 if factor else 0))
 
 
-def encode_request(shape: tuple[int, int], sigma: float) -> bytes:
-    """The request frame for an image of ``shape``, whose pixels go through
-    the region."""
-    return _request(FRAME_REQUEST, shape, sigma)
-
-
-def encode_factor_request(shape: tuple[int, int], sigma: float) -> bytes:
-    """The factor request frame for an image of ``shape``."""
-    return _request(FRAME_FACTOR_REQUEST, shape, sigma)
-
-
-def encode_response(shape: tuple[int, int]) -> bytes:
-    """The response frame for an estimate of ``shape``."""
-    return _PREFIX.pack(MAGIC, FRAME_RESPONSE) + _DIMS.pack(*_dims(shape, ValueError))
-
-
-def encode_factor_response(shape: tuple[int, int], factor_shape: tuple[int, int]) -> bytes:
-    """The factor response frame for an estimate of ``shape`` and a Tweedie
-    factor of ``factor_shape``, which is (1, 1) or ``shape``."""
+def encode_response(shape: tuple[int, int], factor_shape: tuple[int, int] = (0, 0)) -> bytes:
+    """The response frame for an estimate of ``shape`` and a Tweedie factor
+    of ``factor_shape``: (0, 0) for none, else (1, 1) or ``shape``."""
     shape = _dims(shape, ValueError)
-    factor_shape = _factor_dims(shape, factor_shape, ValueError)
-    return (_PREFIX.pack(MAGIC, FRAME_FACTOR_RESPONSE) + _DIMS.pack(*shape)
-            + _DIMS.pack(*factor_shape))
+    return (_PREFIX.pack(MAGIC, FRAME_RESPONSE)
+            + _RESPONSE.pack(*shape, *_factor_dims(shape, factor_shape, ValueError)))
 
 
 def encode_error(message: str) -> bytes:
@@ -144,9 +127,9 @@ def encode_error(message: str) -> bytes:
 def read_frame(stream: BinaryIO):
     """Read one frame from a blocking stream; None on clean EOF at a boundary.
 
-    Returns (FRAME_REQUEST or FRAME_FACTOR_REQUEST, (height, width), sigma),
-    (FRAME_RESPONSE, (height, width)), (FRAME_FACTOR_RESPONSE, (height, width),
-    (factor-height, factor-width)) or (FRAME_ERROR, message).
+    Returns (FRAME_REQUEST, (height, width), sigma, factor asked: bool),
+    (FRAME_RESPONSE, (height, width), (factor-height, factor-width)) or
+    (FRAME_ERROR, message).
     """
     prefix = stream.read(_PREFIX.size)
     if not prefix:
@@ -156,18 +139,16 @@ def read_frame(stream: BinaryIO):
     magic, frame_type = _PREFIX.unpack(prefix)
     if magic != MAGIC:
         raise BridgeFrameError(f"bad magic {magic!r}")
-    if frame_type in (FRAME_REQUEST, FRAME_FACTOR_REQUEST):
-        head = _read_exact(stream, 8 + _DIMS.size)
-        (sigma,) = struct.unpack_from("<d", head)
+    if frame_type == FRAME_REQUEST:
+        sigma, h, w, factor = _REQUEST.unpack(_read_exact(stream, _REQUEST.size))
         if not _sigma_ok(sigma):
             raise BridgeFrameError(f"request sigma {sigma} is not finite and > 0")
-        return frame_type, _dims(_DIMS.unpack_from(head, 8)), sigma
+        if factor > 1:
+            raise BridgeFrameError(f"request factor field {factor} is neither 0 nor 1")
+        return FRAME_REQUEST, _dims((h, w)), sigma, factor == 1
     if frame_type == FRAME_RESPONSE:
-        return FRAME_RESPONSE, _dims(_DIMS.unpack(_read_exact(stream, _DIMS.size)))
-    if frame_type == FRAME_FACTOR_RESPONSE:
-        body = _read_exact(stream, 2 * _DIMS.size)
-        shape = _dims(_DIMS.unpack_from(body))
-        return FRAME_FACTOR_RESPONSE, shape, _factor_dims(shape, _DIMS.unpack_from(body, 8))
+        h, w, fh, fw = _RESPONSE.unpack(_read_exact(stream, _RESPONSE.size))
+        return FRAME_RESPONSE, _dims((h, w)), _factor_dims((h, w), (fh, fw))
     if frame_type == FRAME_ERROR:
         (length,) = struct.unpack("<I", _read_exact(stream, 4))
         if length > 1 << 20:
@@ -194,9 +175,9 @@ def _dims(shape: tuple[int, int],
 def _factor_dims(shape: tuple[int, int], factor_shape: tuple[int, int],
                  error: type[Exception] = BridgeFrameError) -> tuple[int, int]:
     factor_shape = tuple(factor_shape)
-    if factor_shape not in ((1, 1), tuple(shape)):
-        raise error(f"factor dimensions {factor_shape} are neither (1, 1) nor the "
-                    f"estimate's {tuple(shape)}")
+    if factor_shape not in ((0, 0), (1, 1), tuple(shape)):
+        raise error(f"factor dimensions {factor_shape} are neither (0, 0), (1, 1) nor "
+                    f"the estimate's {tuple(shape)}")
     return factor_shape
 
 
@@ -264,16 +245,17 @@ def _region_from_env() -> _Region:
 def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
     """Answer request frames on stdin with ``denoise(image, sigma)`` until EOF.
 
-    A factor request is answered with the estimate and its Tweedie factor,
-    as ``prior_refine`` would get them in process: from the
+    A request that asks for a factor is answered with the estimate and its
+    Tweedie factor, as ``prior_refine`` would get them in process: from the
     ``denoise_with_tweedie`` of the object ``denoise`` is bound to, where it
     offers one, else from ``probe_tweedie``'s two calls, whose estimate comes
     back clipped as ``prior_refine`` clips it.  ``image`` is a view of the
-    region, which the reply then overwrites.  A malformed request, or a
-    region that cannot hold it, is answered with an error frame and ends the
-    loop with 1; a clean EOF ends it with 0.  A result with a non-finite
-    pixel, or a factor that is negative or not 1x1 or the estimate's shape,
-    raises ``ValueError``.
+    region, which the reply then overwrites; a result of another shape than
+    the request's is answered with its shape and no pixels, a shape mismatch
+    for the client.  A malformed request, or a region that cannot hold it,
+    is answered with an error frame and ends the loop with 1; a clean EOF
+    ends it with 0.  A result with a non-finite pixel, or a factor that is
+    negative or not 1x1 or the estimate's shape, raises ``ValueError``.
     """
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
     exact = exact_tweedie(denoise)
@@ -283,9 +265,9 @@ def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
             frame = read_frame(stdin)
             if frame is None:
                 return 0
-            if frame[0] not in (FRAME_REQUEST, FRAME_FACTOR_REQUEST):
+            if frame[0] != FRAME_REQUEST:
                 raise BridgeFrameError(f"expected a request frame, got type {frame[0]}")
-            kind, shape, sigma = frame
+            _, shape, sigma, factor = frame
             region = region or _region_from_env()
             image = region.values(shape[0] * shape[1]).reshape(shape)
             _check_pixels(image, "request")
@@ -293,24 +275,23 @@ def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
             stdout.write(encode_error(str(exc)))
             stdout.flush()
             return 1
-        if kind == FRAME_REQUEST:
-            result, factor = denoise(image, sigma), None
+        if not factor:
+            result, tweedie = denoise(image, sigma), None
         elif exact is not None:
-            result, factor = exact(image, sigma)
+            result, tweedie = exact(image, sigma)
         else:
-            result, factor = probe_tweedie(denoise, image, sigma, np.empty(shape),
-                                           np.empty(shape))
+            result, tweedie = probe_tweedie(denoise, image, sigma, np.empty(shape),
+                                            np.empty(shape))
         result = as_image(result)
-        n = result.size
-        if factor is None:
-            reply = encode_response(result.shape)
-            values = region.values(n)
-        else:
-            factor_shape = (1, 1) if np.ndim(factor) == 0 else np.shape(factor)
-            reply = encode_factor_response(result.shape, factor_shape)
+        factor_shape = ((0, 0) if tweedie is None
+                        else (1, 1) if np.ndim(tweedie) == 0 else np.shape(tweedie))
+        reply = encode_response(result.shape, factor_shape)
+        if result.shape == shape:  # the region holds it, and the client reads it
+            n = result.size
             values = region.values(n + factor_shape[0] * factor_shape[1])
-            _fill_factor(values[n:].reshape(factor_shape), factor, ValueError)
-        _fill(values[:n].reshape(result.shape), result, "reply", ValueError)
+            if tweedie is not None:
+                _fill_factor(values[n:].reshape(factor_shape), tweedie, ValueError)
+            _fill(values[:n].reshape(shape), result, "reply", ValueError)
         stdout.write(reply)
         stdout.flush()
 
@@ -404,10 +385,7 @@ class BridgeDenoiser:
     def _round_trip(self, x: np.ndarray, sigma: float, factor: bool):
         x = as_image(x)
         n = x.size
-        if factor:
-            request, expected = encode_factor_request(x.shape, sigma), FRAME_FACTOR_RESPONSE
-        else:
-            request, expected = encode_request(x.shape, sigma), FRAME_RESPONSE
+        request = encode_request(x.shape, sigma, factor)
         with self._lock:
             self._ensure_alive()
             proc = self._proc
@@ -421,9 +399,12 @@ class BridgeDenoiser:
                 # a request frame fits an empty pipe, so only the reply can stall
                 proc.stdin.write(request)
                 frame = read_frame(_PipeReader(proc, self.config.timeout))
-                if frame[0] not in (expected, FRAME_ERROR):
+                if frame[0] not in (FRAME_RESPONSE, FRAME_ERROR):
                     raise BridgeFrameError(f"unexpected frame type {frame[0]} from server")
-                if frame[0] == expected and frame[1] == x.shape:
+                if frame[0] == FRAME_RESPONSE and (frame[2] != (0, 0)) != factor:
+                    raise BridgeFrameError(f"factor dimensions {frame[2]} do not answer a "
+                                           f"request {'for' if factor else 'without'} a factor")
+                if frame[0] == FRAME_RESPONSE and frame[1] == x.shape:
                     # the copies are checked, so the server cannot change them later
                     estimate, tweedie = np.empty(x.shape), None
                     _fill(estimate, region[:n].reshape(x.shape), "reply")

@@ -1,8 +1,8 @@
 """Reference denoiser server for the bridge protocol.
 
-Used by CI to exercise the bridge without external dependencies; a bridge
-client starts it, because it serves pixels through the region the client
-shares with it::
+Used by the tests and the benchmark to exercise the bridge without external
+dependencies; a bridge client starts it, because it serves pixels through
+the region the client shares with it::
 
     python -m pnpdm.bridge_helper --prior gaussian --mean 0.5 --variance 0.04
     python -m pnpdm.bridge_helper --prior echo

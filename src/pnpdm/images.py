@@ -51,23 +51,17 @@ def check_finite(img: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has a non-finite pixel at {tuple(map(int, index))}")
 
 
-def encodable_pixels(data) -> np.ndarray:
-    """``as_image`` cast to C-ordered little-endian f32, whose raw bytes are the
-    payload of PNPI files; ``ValueError`` for what ``read_image`` refuses: a
-    side above MAX_DIM, or a pixel that is not finite once cast to f32."""
-    img = as_image(data)
+def write_image(path, img) -> None:
+    """Write ``img`` to ``path`` as PNPI, its pixels cast to C-ordered
+    little-endian f32; ``ValueError``, with nothing written, for what
+    ``read_image`` refuses: a side above MAX_DIM, or a pixel that is not
+    finite once cast to f32."""
+    img = as_image(img)
     if max(img.shape) > MAX_DIM:
         raise ValueError(f"image dims must be <= {MAX_DIM}, got {img.shape}")
     with np.errstate(over="ignore"):  # a finite value beyond the f32 range becomes inf
         pixels = img.astype("<f4", order="C")
     check_finite(pixels, "image as f32")
-    return pixels
-
-
-def write_image(path, img) -> None:
-    """Write ``img`` to ``path`` as PNPI; nothing is written if
-    ``encodable_pixels`` refuses it."""
-    pixels = encodable_pixels(img)
     Path(path).write_bytes(_FLOAT_HEADER.pack(FLOAT_MAGIC, *pixels.shape, 0)
                            + memoryview(pixels).cast("B"))
 

@@ -65,7 +65,8 @@ _CLAMP_HI = 1.5
 class SdeConfig:
     """Discretization of the reverse SDE.
 
-    num_steps: Euler-Maruyama steps per prior refinement.
+    num_steps: steps per prior refinement, each with the exactly integrated
+        drift and the exact reverse-transition noise variance (module docstring).
     sigma_floor: smallest integration noise level before the final jump.
     """
 

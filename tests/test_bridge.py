@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import shlex
 import signal
 import struct
@@ -15,8 +16,6 @@ import pytest
 from pnpdm.analytic import GaussianPrior, GmmPrior
 from pnpdm.bridge import (
     FRAME_ERROR,
-    FRAME_FACTOR_REQUEST,
-    FRAME_FACTOR_RESPONSE,
     FRAME_REQUEST,
     FRAME_RESPONSE,
     MAGIC,
@@ -29,8 +28,6 @@ from pnpdm.bridge import (
     BridgeTimeoutError,
     SHM_FD_ENV,
     encode_error,
-    encode_factor_request,
-    encode_factor_response,
     encode_request,
     encode_response,
     read_frame,
@@ -49,28 +46,46 @@ def _server(script: str) -> list[str]:
 
 
 def test_request_frame_round_trip():
-    for encode, kind in [(encode_request, FRAME_REQUEST),
-                         (encode_factor_request, FRAME_FACTOR_REQUEST)]:
-        request = encode((3, 5), 0.25)
-        assert len(request) == 24  # the pixels go through the region
-        assert read_frame(io.BytesIO(request)) == (kind, (3, 5), 0.25)
+    assert encode_request((3, 5), 0.25) == encode_request((3, 5), 0.25, factor=False)
+    for factor in (False, True):
+        request = encode_request((3, 5), 0.25, factor)
+        assert len(request) == 28  # the pixels go through the region
+        assert read_frame(io.BytesIO(request)) == (FRAME_REQUEST, (3, 5), 0.25, factor)
 
 
 def test_response_and_error_frame_round_trip():
-    assert read_frame(io.BytesIO(encode_response((4, 2)))) == (FRAME_RESPONSE, (4, 2))
-    for factor_shape in [(1, 1), (4, 2)]:
-        frame = encode_factor_response((4, 2), factor_shape)
-        assert read_frame(io.BytesIO(frame)) == (FRAME_FACTOR_RESPONSE, (4, 2), factor_shape)
+    assert encode_response((4, 2)) == encode_response((4, 2), (0, 0))
+    for factor_shape in [(0, 0), (1, 1), (4, 2)]:
+        frame = encode_response((4, 2), factor_shape)
+        assert len(frame) == 24
+        assert read_frame(io.BytesIO(frame)) == (FRAME_RESPONSE, (4, 2), factor_shape)
     kind, message = read_frame(io.BytesIO(encode_error("denoiser busted")))
     assert kind == FRAME_ERROR
     assert message == "denoiser busted"
 
 
+@pytest.mark.parametrize("frame,golden", [
+    (encode_request((3, 5), 0.25), "504e5044 01000000 000000000000d03f 03000000 05000000 00000000"),
+    (encode_request((3, 5), 0.25, True),
+     "504e5044 01000000 000000000000d03f 03000000 05000000 01000000"),
+    (encode_response((3, 5)), "504e5044 02000000 03000000 05000000 00000000 00000000"),
+    (encode_response((3, 5), (1, 1)), "504e5044 02000000 03000000 05000000 01000000 01000000"),
+    (encode_response((3, 5), (3, 5)), "504e5044 02000000 03000000 05000000 03000000 05000000"),
+    (encode_error("no model"), "504e5044 03000000 08000000 6e6f206d6f64656c"),
+], ids=["request", "factor-request", "response", "scalar-factor-response",
+        "pixel-factor-response", "error"])
+def test_frames_have_the_documented_bytes(frame, golden):
+    """The exact bytes a server written in any language reads and writes: a
+    round trip cannot see a layout change made in the encoder and the
+    decoder together."""
+    assert frame == bytes.fromhex(golden)
+
+
 @pytest.mark.parametrize("encode", [
     lambda shape: encode_request(shape, 0.25),
-    lambda shape: encode_factor_request(shape, 0.25),
+    lambda shape: encode_request(shape, 0.25, factor=True),
     encode_response,
-    lambda shape: encode_factor_response(shape, shape),
+    lambda shape: encode_response(shape, shape),
 ], ids=["request", "factor-request", "response", "factor-response"])
 def test_encoders_refuse_what_read_frame_refuses(encode):
     frame = read_frame(io.BytesIO(encode((MAX_DIM, 1))))
@@ -80,13 +95,26 @@ def test_encoders_refuse_what_read_frame_refuses(encode):
             encode(shape)
 
 
-@pytest.mark.parametrize("factor_shape", [(1, 5), (3, 1), (5, 3), (2, 2)])
+@pytest.mark.parametrize("factor_shape", [(1, 5), (3, 1), (5, 3), (2, 2), (0, 5), (3, 0)])
 def test_factor_dims_are_one_by_one_or_the_estimates(factor_shape):
     with pytest.raises(ValueError, match="neither"):
-        encode_factor_response((3, 5), factor_shape)
-    frame = MAGIC + struct.pack("<5I", FRAME_FACTOR_RESPONSE, 3, 5, *factor_shape)
+        encode_response((3, 5), factor_shape)
+    frame = MAGIC + struct.pack("<5I", FRAME_RESPONSE, 3, 5, *factor_shape)
     with pytest.raises(BridgeFrameError, match="neither"):
         read_frame(io.BytesIO(frame))
+
+
+@pytest.mark.parametrize("field", [2, 2**32 - 1])
+def test_request_factor_field_is_zero_or_one(field):
+    """Any other factor field is a malformed request: ``read_frame`` refuses
+    it, and a server answers it with an error frame."""
+    request = MAGIC + struct.pack("<IdIII", FRAME_REQUEST, 0.1, 2, 2, field)
+    with pytest.raises(BridgeFrameError, match=f"factor field {field} is neither 0 nor 1"):
+        read_frame(io.BytesIO(request))
+    proc = subprocess.run(HELPER, input=request, stdout=subprocess.PIPE, timeout=30)
+    assert proc.returncode == 1
+    assert read_frame(io.BytesIO(proc.stdout)) == (
+        FRAME_ERROR, f"request factor field {field} is neither 0 nor 1")
 
 
 def test_client_refuses_a_non_finite_image_before_sending():
@@ -125,14 +153,15 @@ def test_read_frame_eof_and_truncation():
         read_frame(io.BytesIO(MAGIC))  # partial prefix
     with pytest.raises(BridgeFrameError):
         read_frame(io.BytesIO(b"XXXX" + b"\x01\x00\x00\x00"))
-    with pytest.raises(BridgeFrameError):
-        read_frame(io.BytesIO(MAGIC + (99).to_bytes(4, "little")))
+    for frame_type in (4, 5, 99):  # 4 and 5 were the factor request and response
+        with pytest.raises(BridgeFrameError, match=f"unknown frame type {frame_type}"):
+            read_frame(io.BytesIO(MAGIC + struct.pack("<5I", frame_type, 3, 5, 1, 1)))
     truncated = encode_response((4, 4))[:-6]
     with pytest.raises(BridgeFrameError):
         read_frame(io.BytesIO(truncated))
     for h, w in [(0, 1), (1, MAX_DIM + 1)]:
         with pytest.raises(BridgeFrameError, match="out of range"):
-            read_frame(io.BytesIO(MAGIC + struct.pack("<III", FRAME_RESPONSE, h, w)))
+            read_frame(io.BytesIO(MAGIC + struct.pack("<5I", FRAME_RESPONSE, h, w, 0, 0)))
 
 
 def test_config_validation():
@@ -325,11 +354,11 @@ _REPLY_PRELUDE = (
     "import mmap, os, struct, sys, time\n"
     "import numpy as np\n"
     "from pnpdm.bridge import encode_request, encode_response, read_frame\n"
-    "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
+    "_, shape, sigma, _ = read_frame(sys.stdin.buffer)\n"
     "region = mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0)\n"
     "img = np.frombuffer(region, '<f8', shape[0] * shape[1]).reshape(shape)\n"
     "def raw_response(img):\n"
-    "    return b'PNPD' + struct.pack('<III', 2, *img.shape)\n"
+    "    return b'PNPD' + struct.pack('<5I', 2, *img.shape, 0, 0)\n"
 )
 
 
@@ -351,9 +380,13 @@ _REPLY_PRELUDE = (
      "    img *= float('nan')\n"
      "    os.write(1, raw_response(img))\n"
      "    shape = (read_frame(sys.stdin.buffer) or (None, None))[1]\n", BridgeFrameError),
+    ("os.write(1, encode_response(img.shape, (1, 1)))\n"
+     "sys.stdin.buffer.read()\n", BridgeFrameError),
 ], ids=["response-in-pieces", "request-frame", "oversized-error", "exit-after-prefix",
-        "inf-response", "nan-replies"])
+        "inf-response", "nan-replies", "factor-dims"])
 def test_client_decodes_replies(reply, error):
+    """Each faulty reply to a plain request, factor dimensions included,
+    raises its error; a frame error leaves the server killed."""
     img = np.random.default_rng(4).random((3, 5))
     config = BridgeConfig(command=_server(_REPLY_PRELUDE + reply), timeout=20.0)
     with BridgeDenoiser(config) as bridge:
@@ -362,36 +395,37 @@ def test_client_decodes_replies(reply, error):
         else:
             with pytest.raises(error):
                 bridge.denoise(img, 0.1)
+            if error is BridgeFrameError:
+                assert bridge._proc.returncode == -signal.SIGKILL
 
 
 _FACTOR_PRELUDE = (
     "import mmap, os, sys\n"
     "import numpy as np\n"
     "from pnpdm.bridge import read_frame\n"
-    "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
+    "_, shape, sigma, _ = read_frame(sys.stdin.buffer)\n"
     "n = shape[0] * shape[1]\n"
     "values = np.frombuffer(mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0), '<f8')\n"
 )
 
 
 @pytest.mark.parametrize("factor,header,error", [
-    ("0.5", "5, *shape, 1, 1", None),
-    ("np.linspace(0.0, 2.0, n)", "5, *shape, *shape", None),
-    ("float('nan')", "5, *shape, 1, 1", "non-finite"),
-    ("float('inf')", "5, *shape, 1, 1", "non-finite"),
-    ("-1e-300", "5, *shape, 1, 1", "negative"),
-    ("np.where(np.arange(n) == 7, np.nan, 0.5)", "5, *shape, *shape", "non-finite"),
-    ("np.where(np.arange(n) == 7, -0.5, 0.5)", "5, *shape, *shape", "negative"),
-    ("0.5", "5, *shape, 1, shape[1]", "neither"),
-    ("0.5", "5, *shape, *shape[::-1]", "neither"),
-    ("0.5", "2, *shape", "unexpected frame type 2"),
+    ("0.5", "2, *shape, 1, 1", None),
+    ("np.linspace(0.0, 2.0, n)", "2, *shape, *shape", None),
+    ("float('nan')", "2, *shape, 1, 1", "non-finite"),
+    ("float('inf')", "2, *shape, 1, 1", "non-finite"),
+    ("-1e-300", "2, *shape, 1, 1", "negative"),
+    ("np.where(np.arange(n) == 7, np.nan, 0.5)", "2, *shape, *shape", "non-finite"),
+    ("np.where(np.arange(n) == 7, -0.5, 0.5)", "2, *shape, *shape", "negative"),
+    ("0.5", "2, *shape, 1, shape[1]", "neither"),
+    ("0.5", "2, *shape, *shape[::-1]", "neither"),
+    ("0.5", "2, *shape, 0, 0", r"dimensions \(0, 0\) do not answer a request for a factor"),
 ], ids=["scalar", "per-pixel", "nan", "inf", "negative", "nan-pixel", "negative-pixel",
         "row-dims", "transposed-dims", "plain-response"])
 def test_client_checks_factor_replies(factor, header, error):
     """The server echoes the image and writes ``factor`` after it.  A factor
-    that is not finite and >= 0, factor dims neither 1x1 nor the image's, or a
-    plain response to a factor request is a frame error, and the client kills
-    the server."""
+    that is not finite and >= 0, or factor dims neither 1x1 nor the image's
+    (0x0 included) is a frame error, and the client kills the server."""
     img = np.random.default_rng(5).random((3, 5))
     script = (_FACTOR_PRELUDE + f"values[n:2 * n] = {factor}\n"
               f"os.write(1, b'PNPD' + np.array([{header}], '<u4').tobytes())\n"
@@ -486,18 +520,32 @@ def test_error_frame_raises_remote_error():
             bridge.denoise(np.zeros((2, 2)), 0.1)
 
 
-def test_shape_mismatch_raises_shape_error():
+@pytest.mark.parametrize("result,factor", [
+    ("image[:4]", False), ("np.tile(image, (2, 1))", False),
+    ("image[:4]", True), ("np.tile(image, (2, 1))", True),
+], ids=["smaller", "larger", "factor-smaller", "factor-larger"])
+def test_shape_mismatch_raises_shape_error(result, factor):
+    """A served result of another shape than the request's, smaller or
+    larger than the region, is answered with its shape and no pixels: a
+    shape error that keeps the server, so the next call reaches it.  The
+    server reshapes only at sigma 0.5."""
     script = (
-        "import sys, time\n"
-        "from pnpdm.bridge import read_frame, encode_response\n"
-        "_, shape, sigma = read_frame(sys.stdin.buffer)\n"
-        "sys.stdout.buffer.write(encode_response((1, shape[1])))\n"
-        "sys.stdout.buffer.flush()\n"
-        "time.sleep(5)\n"
+        "import numpy as np\nfrom pnpdm.bridge import serve\n"
+        "class Reshaping:\n"
+        "    def denoise(self, image, sigma):\n"
+        f"        return {result} if sigma == 0.5 else image\n"
+        "    def denoise_with_tweedie(self, image, sigma):\n"
+        "        return self.denoise(image, sigma), 0.25\n"
+        "serve(Reshaping().denoise)\n"
     )
+    img = np.random.default_rng(10).random((8, 8))
     with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
-        with pytest.raises(BridgeShapeError):
-            bridge.denoise(np.zeros((3, 3)), 0.1)
+        call = bridge.denoise_with_tweedie if factor else bridge.denoise
+        want = (4, 8) if result == "image[:4]" else (16, 8)
+        with pytest.raises(BridgeShapeError, match=re.escape(f"response shape {want}")):
+            call(img, 0.5)
+        got = call(img, 0.1)
+        assert np.array_equal(got[0] if factor else got, img)
 
 
 def test_helper_rejects_non_request_frame():
@@ -518,8 +566,7 @@ def test_request_sigma_must_be_finite_and_positive(sigma):
     with pytest.raises(ValueError, match="sigma"):
         encode_request((2, 2), sigma)
     # so the frame is made by hand
-    request = (MAGIC + struct.pack("<IdII", FRAME_REQUEST, sigma, 2, 2)
-               + np.full((2, 2), 0.5, dtype="<f4").tobytes())
+    request = MAGIC + struct.pack("<IdIII", FRAME_REQUEST, sigma, 2, 2, 0)
     with pytest.raises(BridgeFrameError, match="sigma"):
         read_frame(io.BytesIO(request))
     proc = subprocess.run(HELPER + ["--prior", "gaussian"], input=request,

@@ -451,10 +451,10 @@ def test_reconstruct_bridge_non_finite_reply_exit_code(tmp_path, capsys):
     region."""
     script = ("import mmap, os, struct, sys; import numpy as np; "
               "from pnpdm.bridge import read_frame; "
-              "_, shape, sigma = read_frame(sys.stdin.buffer); "
+              "_, shape, sigma, _ = read_frame(sys.stdin.buffer); "
               "region = mmap.mmap(int(os.environ['PNPD_SHM_FD']), 0); "
               "np.frombuffer(region, '<f8')[0] = float('nan'); "
-              "os.write(1, b'PNPD' + struct.pack('<5I', 5, *shape, 1, 1)); "
+              "os.write(1, b'PNPD' + struct.pack('<5I', 2, *shape, 1, 1)); "
               "sys.stdin.buffer.read()")
     cfg = _reconstruct_config(tmp_path, "kind = bridge\ncommand = "
                               + shlex.join([sys.executable, "-c", script]))

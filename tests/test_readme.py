@@ -1,5 +1,5 @@
-"""README.md names every config key and only options the CLI has, and each
-of its config examples reads."""
+"""README.md names every config key and only options the CLI has, each of
+its config examples reads, and its bridge table has every frame type."""
 
 import argparse
 import re
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from pnpdm import bridge
 from pnpdm.cli import RECONSTRUCT_SCHEMA, SIMULATE_SCHEMA, _build_parser
 from pnpdm.config import read_config
 
@@ -68,3 +69,12 @@ def test_readme_names_only_cli_options():
     assert "--threads" in named
     unknown = sorted(named - _parser_options(_build_parser()))
     assert not unknown, f"README.md names options the CLI does not have: {unknown}"
+
+
+def test_readme_protocol_table_names_every_frame_type():
+    """The bridge section's table has one row for each ``FRAME_*`` type that
+    ``pnpdm.bridge`` defines, and no other row."""
+    section = README.split("## Bridge protocol", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\|.*\btype=(\d+)", section, flags=re.M)
+    defined = [value for name, value in vars(bridge).items() if name.startswith("FRAME_")]
+    assert sorted(map(int, rows)) == sorted(defined)
