@@ -16,9 +16,10 @@ from pnpdm.likelihood import LikelihoodModel
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-# Pixels per block of the fused GMM pass.  Smaller blocks mean more, shorter
-# numpy calls, each of which takes the GIL, which slows chains on threads.
-_BLOCK = 7168
+# Pixels per block of the fused GMM pass, a multiple of 8: wider blocks make fewer numpy
+# calls, each about 11 µs of GIL hand-off beside a second chain thread.  At 128^2, 8192
+# makes two blocks, whose scratch breaks the memory guard by about 5 KB; 8184 makes three.
+_BLOCK = 8184
 
 # Floor of the max-shifted log-weights in the fused GMM pass.  exp of a value
 # below about -708 is a subnormal float, on which numpy's exp and the moments
@@ -31,6 +32,12 @@ _BLOCK = 7168
 # is high enough that e^-600 ≈ 2.7e-261 times any moment entry above 1e-47 is
 # still a normal float.
 _LOG_FLOOR = -600.0
+
+
+def _aligned(size: int) -> np.ndarray:
+    """An uninitialized float64 array of ``size`` values on a 64-byte line."""
+    buffer = np.empty(size + 7)
+    return buffer[-buffer.__array_interface__["data"][0] % 64 // 8:][:size]
 
 
 def _check_sigma(sigma: float) -> None:
@@ -64,7 +71,11 @@ class GaussianPrior:
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
         gain = self.variance / (self.variance + sigma**2)
-        return self.mean + gain * (x - self.mean), gain
+        # (x - mean) * gain + mean, in one array: + and * commute bit for bit
+        estimate = np.subtract(x, self.mean, out=np.empty(np.broadcast(x, self.mean, gain).shape))
+        estimate *= gain
+        estimate += self.mean
+        return estimate, gain
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:
         """log of the sigma-smoothed prior density at x (sum over pixels)."""
@@ -142,10 +153,12 @@ class GmmPrior:
         The pass walks the flat image in ceil(N / _BLOCK) blocks of near-equal
         width, so no one-pixel block follows wider ones: numpy would send its
         matmuls to BLAS's matrix-vector routine, which rounds differently.
-        The blocks share two scratch arrays, (K + 6)·min(_BLOCK, N)·8 bytes
-        freed on return: the responsibilities r (K, b) and the six sums (6, b),
-        whose first four rows hold the powers and the column max before the
-        product overwrites them.  Each block writes straight into the results.
+        Interior bounds are multiples of 8, and the scratch and the (2, N)
+        result (rows mean, factor) start on a 64-byte line, so each row of a
+        block but the last does too.  The blocks share two scratch arrays,
+        (K + 6)·b·8 bytes for the widest block b, freed on return: r (K, b) and
+        the sums (6, b), rows (total, s_offset, s_sq, s_gain, s_gain_sq, s_cross),
+        the first four holding the powers and the column max before the product.
         """
         _check_sigma(sigma)
         x = np.asarray(x, dtype=np.float64)
@@ -153,16 +166,16 @@ class GmmPrior:
         gain = self.variances / (self.variances + sigma**2)
         offset = (1.0 - gain) * self.means
         coefficients = self._coefficients(sigma)
-        moments = np.stack([np.ones_like(gain), offset, gain,
-                            offset**2, 2.0 * offset * gain, gain**2])
-        mean, factor = np.empty_like(flat), np.empty_like(flat)
+        moments = np.stack([np.ones_like(gain), offset, offset**2, gain, gain**2,
+                            2.0 * offset * gain])
+        results = _aligned(-(-flat.size // 8) * 16).reshape(2, -1)[:, :flat.size]
         blocks = max(1, -(-flat.size // _BLOCK))
-        bounds = [flat.size * i // blocks for i in range(blocks + 1)]
-        width = min(_BLOCK, flat.size)
-        r_scratch, sums_scratch = np.empty(gain.size * width), np.empty(6 * width)
+        bounds = [-(-flat.size * i // (8 * blocks)) * 8 for i in range(blocks)] + [flat.size]
+        r_scratch, sums_scratch = _aligned(gain.size * bounds[1]), _aligned(6 * bounds[1])
         for start, stop in zip(bounds[:-1], bounds[1:]):
-            xs, m, f = flat[start:stop], mean[start:stop], factor[start:stop]
-            # Prefixes of the scratch keep a block one pixel short contiguous.
+            xs, out = flat[start:stop], results[:, start:stop]
+            m, f = out
+            # Prefixes of the scratch keep a short last block contiguous.
             r = r_scratch[:gain.size * xs.size].reshape(gain.size, xs.size)
             sums = sums_scratch[:6 * xs.size].reshape(6, xs.size)
             sums[0] = 1.0
@@ -172,24 +185,21 @@ class GmmPrior:
             r -= np.max(r, axis=0, out=sums[3])
             np.maximum(r, _LOG_FLOOR, out=r)
             np.exp(r, out=r)
-            total, s_offset, s_gain, s_sq, s_cross, s_gain_sq = np.matmul(moments, r, out=sums)
-            # mean = (s_offset + x s_gain) / total
-            np.multiply(xs, s_gain, out=m)
-            m += s_offset
-            m /= total
+            total, s_offset, s_sq, s_gain, s_gain_sq, s_cross = np.matmul(moments, r, out=sums)
+            # mean = (x s_gain + s_offset) / total and
             # factor = s_gain / total + max(spread, 0) / sigma^2, where
-            # spread = (s_sq + x (s_cross + x s_gain_sq)) / total - mean^2
-            np.multiply(xs, s_gain_sq, out=f)
+            # spread = ((x s_gain_sq + s_cross) x + s_sq) / total - mean^2
+            np.multiply(xs, sums[3:5], out=out)
             f += s_cross
             f *= xs
-            f += s_sq
-            f /= total
+            out += sums[1:3]
+            out /= total
             f -= np.square(m, out=s_sq)
             np.maximum(f, 0.0, out=f)
             f /= sigma**2
             s_gain /= total
             f += s_gain
-        return mean.reshape(x.shape), factor.reshape(x.shape)
+        return results[0].reshape(x.shape), results[1].reshape(x.shape)
 
     def log_density_smoothed(self, x: np.ndarray, sigma: float) -> float:
         x = np.asarray(x, dtype=np.float64)

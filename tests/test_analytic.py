@@ -53,6 +53,29 @@ def test_gaussian_broadcasting_pixelwise_params():
     assert np.allclose(out, mean + gains * (x - mean))
 
 
+_RAMP = np.linspace(0.01, 0.3, 35).reshape(5, 7)
+
+
+@pytest.mark.parametrize("mean,variance,shape", [
+    (0.3, 0.04, (5, 7)),
+    (np.linspace(0.1, 0.9, 7), 0.04, (5, 7)),
+    (0.3, _RAMP, (5, 7)),
+    (_RAMP + 0.2, _RAMP, (1, 7)),
+    (np.full((3, 5, 7), 0.4), _RAMP[0], (5, 7)),
+], ids=["scalars", "mean-row", "variance-image", "params-larger-than-x", "mean-3d"])
+def test_gaussian_estimate_keeps_the_bits_of_the_direct_formula(mean, variance, shape):
+    """The estimate, computed in one array, has the bits and the broadcast
+    shape of mean + gain * (x - mean), with array parameters shaped like x,
+    a row of it, or larger than x."""
+    prior = GaussianPrior(mean=mean, variance=variance)
+    x = np.random.default_rng(4).uniform(-0.5, 1.5, size=shape)
+    for sigma in (0.01, 0.1, 1.0):
+        gain = prior.variance / (prior.variance + sigma**2)
+        estimate, factor = prior.denoise_with_tweedie(x, sigma)
+        assert np.array_equal(estimate, prior.mean + gain * (x - prior.mean))
+        assert np.array_equal(factor, gain)
+
+
 def test_gaussian_validation():
     with pytest.raises(ValueError):
         GaussianPrior(mean=0.0, variance=0.0)
@@ -294,6 +317,28 @@ def test_gmm_blocks_match_the_direct_formula_and_one_block(shape, monkeypatch):
                 m.setattr(analytic, "_BLOCK", x.size)
                 one_mean, one_factor = prior.denoise_with_tweedie(x, sigma)
             assert np.array_equal(mean, one_mean) and np.array_equal(factor, one_factor)
+
+
+@pytest.mark.parametrize("shape", [(1, _B - 1), (1, _B), (1, _B + 1), (2 * _B + 1, 1),
+                                   (1, 1), (97, 83)],
+                         ids=["B-1", "B", "B+1", "2B+1", "1x1", "97x83"])
+def test_gmm_bits_do_not_depend_on_where_x_sits(shape):
+    """The same pixels at byte offsets 0, 8, ..., 56 past a 64-byte line give
+    the same bits, and the mean and the factor each start on a 64-byte line."""
+    x = np.random.default_rng(13).uniform(-0.5, 1.5, size=shape)
+    buffer = np.empty(x.size + 16)
+    line = -buffer.__array_interface__["data"][0] % 64 // 8
+    for prior in (_ten_component_prior(), _a3_prior()):
+        for sigma in (0.008, 0.1):
+            runs = []
+            for offset in range(8):
+                placed = buffer[line + offset:line + offset + x.size].reshape(shape)
+                placed[...] = x
+                assert placed.__array_interface__["data"][0] % 64 == 8 * offset
+                runs.append(prior.denoise_with_tweedie(placed, sigma))
+                assert all(r.__array_interface__["data"][0] % 64 == 0 for r in runs[-1])
+            for mean, factor in runs[1:]:
+                assert np.array_equal(mean, runs[0][0]) and np.array_equal(factor, runs[0][1])
 
 
 def test_gmm_log_floor_changes_no_bit_on_the_a3_grid(monkeypatch):

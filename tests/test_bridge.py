@@ -520,14 +520,20 @@ def test_error_frame_raises_remote_error():
             bridge.denoise(np.zeros((2, 2)), 0.1)
 
 
-@pytest.mark.parametrize("result,factor", [
-    ("image[:4]", False), ("np.tile(image, (2, 1))", False),
-    ("image[:4]", True), ("np.tile(image, (2, 1))", True),
-], ids=["smaller", "larger", "factor-smaller", "factor-larger"])
-def test_shape_mismatch_raises_shape_error(result, factor):
+@pytest.mark.parametrize("result,factor,served", [
+    ("image[:4]", False, "Reshaping().denoise"),
+    ("np.tile(image, (2, 1))", False, "Reshaping().denoise"),
+    ("image[:4]", True, "Reshaping().denoise"),
+    ("np.tile(image, (2, 1))", True, "Reshaping().denoise"),
+    ("image[:4]", True, "reshape"),
+    ("np.tile(image, (2, 1))", True, "reshape"),
+], ids=["smaller", "larger", "factor-smaller", "factor-larger",
+        "plain-factor-smaller", "plain-factor-larger"])
+def test_shape_mismatch_raises_shape_error(result, factor, served):
     """A served result of another shape than the request's, smaller or
     larger than the region, is answered with its shape and no pixels: a
-    shape error that keeps the server, so the next call reaches it.  The
+    shape error that keeps the server, so the next call reaches it.  That
+    holds for a plain function too, whose factor the server probes.  The
     server reshapes only at sigma 0.5."""
     script = (
         "import numpy as np\nfrom pnpdm.bridge import serve\n"
@@ -536,7 +542,8 @@ def test_shape_mismatch_raises_shape_error(result, factor):
         f"        return {result} if sigma == 0.5 else image\n"
         "    def denoise_with_tweedie(self, image, sigma):\n"
         "        return self.denoise(image, sigma), 0.25\n"
-        "serve(Reshaping().denoise)\n"
+        f"reshape = lambda image, sigma: {result} if sigma == 0.5 else image\n"
+        f"serve({served})\n"
     )
     img = np.random.default_rng(10).random((8, 8))
     with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
