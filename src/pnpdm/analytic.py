@@ -9,10 +9,12 @@ checked against closed-form answers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from pnpdm.likelihood import LikelihoodModel
+if TYPE_CHECKING:  # the oracle reads a model; the priors need no likelihood
+    from pnpdm.likelihood import LikelihoodModel
 
 _LOG_2PI = np.log(2.0 * np.pi)
 

@@ -45,21 +45,20 @@ from __future__ import annotations
 
 import mmap
 import os
-import select
-import signal
 import struct
-import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence
 
 import numpy as np
 
 from pnpdm.images import MAX_DIM, as_image
 from pnpdm.prior_step import exact_tweedie, probe_tweedie
+
+if TYPE_CHECKING:  # for annotations: the client imports it where it runs a server
+    import subprocess
 
 MAGIC = b"PNPD"
 FRAME_REQUEST = 1
@@ -250,9 +249,10 @@ def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
     ``denoise_with_tweedie`` of the object ``denoise`` is bound to, where it
     offers one, else from ``probe_tweedie``'s two calls, whose estimate comes
     back clipped as ``prior_refine`` clips it.  ``image`` is a view of the
-    region, which the reply then overwrites; a result of another shape than
-    the request's is answered with its shape and no pixels, a shape mismatch
-    for the client.  A malformed request, or a region that cannot hold it,
+    region, which the reply then overwrites.  A result of another shape than
+    the request's is answered with its shape and no pixels, and an exception
+    from these calls, logged, with an error frame ``"<Type>: <message>"``;
+    the loop goes on.  A malformed request, or a region that cannot hold it,
     is answered with an error frame and ends the loop with 1; a clean EOF
     ends it with 0.  A result with a non-finite pixel, or a factor that is
     negative or not 1x1 or the estimate's shape, raises ``ValueError``.
@@ -275,28 +275,33 @@ def serve(denoise: Callable[[np.ndarray, float], np.ndarray]) -> int:
             stdout.write(encode_error(str(exc)))
             stdout.flush()
             return 1
-        if not factor:
-            result, tweedie = denoise(image, sigma), None
-        elif exact is not None:
-            result, tweedie = exact(image, sigma)
+        try:
+            if not factor:
+                result, tweedie = denoise(image, sigma), None
+            elif exact is not None:
+                result, tweedie = exact(image, sigma)
+            else:
+                try:
+                    result, tweedie = probe_tweedie(denoise, image, sigma, np.empty(shape),
+                                                    np.empty(shape))
+                except ValueError:  # the probe refuses another shape, which the reply names
+                    result, tweedie = as_image(denoise(image, sigma)), 1.0
+                    if result.shape == shape:
+                        raise
+            result = as_image(result)
+        except Exception as exc:  # the denoiser's failure: logged as if uncaught, sent on
+            sys.excepthook(type(exc), exc, exc.__traceback__)
+            reply = encode_error(f"{type(exc).__name__}: {exc}")
         else:
-            try:
-                result, tweedie = probe_tweedie(denoise, image, sigma, np.empty(shape),
-                                                np.empty(shape))
-            except ValueError:  # the probe refuses another shape, which the reply names
-                result, tweedie = as_image(denoise(image, sigma)), 1.0
-                if result.shape == shape:
-                    raise
-        result = as_image(result)
-        factor_shape = ((0, 0) if tweedie is None
-                        else (1, 1) if np.ndim(tweedie) == 0 else np.shape(tweedie))
-        reply = encode_response(result.shape, factor_shape)
-        if result.shape == shape:  # the region holds it, and the client reads it
-            n = result.size
-            values = region.values(n + factor_shape[0] * factor_shape[1])
-            if tweedie is not None:
-                _fill_factor(values[n:].reshape(factor_shape), tweedie, ValueError)
-            _fill(values[:n].reshape(shape), result, "reply", ValueError)
+            factor_shape = ((0, 0) if tweedie is None
+                            else (1, 1) if np.ndim(tweedie) == 0 else np.shape(tweedie))
+            reply = encode_response(result.shape, factor_shape)
+            if result.shape == shape:  # the region holds it, and the client reads it
+                n = result.size
+                values = region.values(n + factor_shape[0] * factor_shape[1])
+                if tweedie is not None:
+                    _fill_factor(values[n:].reshape(factor_shape), tweedie, ValueError)
+                _fill(values[:n].reshape(shape), result, "reply", ValueError)
         stdout.write(reply)
         stdout.flush()
 
@@ -307,6 +312,7 @@ class _PipeReader:
     reaped child."""
 
     def __init__(self, proc: subprocess.Popen, timeout: float):
+        import select
         self._proc = proc
         self._timeout = timeout
         self._deadline = time.monotonic() + timeout
@@ -330,11 +336,13 @@ class _PipeReader:
 
 
 def _kill(proc: subprocess.Popen):
-    """Kill the server's process group: a wrapper's child holds the pipes too."""
+    """Kill the server's group (a wrapper's child holds the pipes too); reap the server."""
+    import signal
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:  # the group is gone already
         pass
+    proc.wait()
 
 
 @dataclass(frozen=True)
@@ -361,9 +369,11 @@ class BridgeDenoiser:
         self._start()
 
     def _start(self):
+        import subprocess
         if hasattr(os, "memfd_create"):
             fd = os.memfd_create("pnpd-region")
         else:  # an unlinked file, which may sit on disk
+            import tempfile
             with tempfile.TemporaryFile() as file:
                 fd = os.dup(file.fileno())
         self._region = _Region(fd)
@@ -392,8 +402,10 @@ class BridgeDenoiser:
         n = x.size
         request = encode_request(x.shape, sigma, factor)
         with self._lock:
-            self._ensure_alive()
             proc = self._proc
+            if proc is None or proc.poll() is not None:
+                code = None if proc is None else proc.returncode
+                raise BridgeProcessError(f"external process not running (exit code {code})")
             try:
                 region = self._region.values(2 * n if factor else n, grow=True)
             except OSError as exc:
@@ -419,7 +431,6 @@ class BridgeDenoiser:
             except (BridgeError, OSError) as exc:
                 # a partial or unread reply would answer the next request
                 _kill(proc)
-                proc.wait()
                 if isinstance(exc, OSError):
                     raise BridgeProcessError(f"external process closed stdin: {exc}") from exc
                 raise
@@ -431,12 +442,8 @@ class BridgeDenoiser:
             tweedie = float(tweedie[0, 0])
         return estimate, tweedie
 
-    def _ensure_alive(self):
-        if self._proc is None or self._proc.poll() is not None:
-            code = None if self._proc is None else self._proc.returncode
-            raise BridgeProcessError(f"external process not running (exit code {code})")
-
     def close(self):
+        import subprocess
         if self._proc is None:
             return
         try:
@@ -447,7 +454,6 @@ class BridgeDenoiser:
             self._proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
             _kill(self._proc)
-            self._proc.wait()
         self._proc.stdout.close()
         self._proc = None
         self._region.close()

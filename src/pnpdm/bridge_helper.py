@@ -16,6 +16,7 @@ request then goes through the black-box probe.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 
@@ -42,4 +43,5 @@ def serve(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # as pnpdm.cli.entry does: the import-time objects live until exit
     sys.exit(serve())

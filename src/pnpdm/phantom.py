@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pnpdm.images import MAX_DIM, as_image
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,6 @@ def degrade(clean_hr, f: int, sigma_y: float, seed: int) -> np.ndarray:
     if sigma_y < 0:
         raise ValueError(f"sigma_y must be >= 0, got {sigma_y}")
     clean_hr = as_image(clean_hr)
-    op = block_average_downsample(f, *clean_hr.shape)
+    op = SvdOperator(f, *clean_hr.shape)
     lr = op.apply(clean_hr)
     return lr + sigma_y * np.random.default_rng(seed).standard_normal(lr.shape)

@@ -27,7 +27,7 @@ from pnpdm.bridge import (
 )
 from pnpdm.likelihood import LikelihoodModel, conditional_moments, sample_conditional
 from pnpdm.metrics import bicubic_upsample, psnr, ssim
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 from pnpdm.phantom import Layer, PhantomSpec, degrade, generate_phantom
 from pnpdm.prior_step import SdeConfig
 from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, rho_at, run_chain
@@ -59,15 +59,15 @@ def criterion(name):
 
 # (label, operator factory, sigma_y, prior variance scale, rho_min, samples)
 _A1_CONFIGS = [
-    ("identity n=4 sy=0.2", lambda: block_average_downsample(1, 2, 2), 0.2, 0.002, 0.05, 12000),
-    ("identity n=16 sy=0.2", lambda: block_average_downsample(1, 4, 4), 0.2, 0.002, 0.05, 12000),
-    ("block f2 n=64 sy=0.05", lambda: block_average_downsample(2, 8, 8), 0.05, 0.0005,
+    ("identity n=4 sy=0.2", lambda: SvdOperator(1, 2, 2), 0.2, 0.002, 0.05, 12000),
+    ("identity n=16 sy=0.2", lambda: SvdOperator(1, 4, 4), 0.2, 0.002, 0.05, 12000),
+    ("block f2 n=64 sy=0.05", lambda: SvdOperator(2, 8, 8), 0.05, 0.0005,
      0.02, 15000),
-    ("block f4 n=64 sy=0.05", lambda: block_average_downsample(4, 8, 8), 0.05, 0.002,
+    ("block f4 n=64 sy=0.05", lambda: SvdOperator(4, 8, 8), 0.05, 0.002,
      0.05, 15000),
-    ("block f4 n=64 sy=0.2", lambda: block_average_downsample(4, 8, 8), 0.2, 0.01,
+    ("block f4 n=64 sy=0.2", lambda: SvdOperator(4, 8, 8), 0.2, 0.01,
      0.1, 15000),
-    ("block f2 n=64 sy=0.2", lambda: block_average_downsample(2, 8, 8), 0.2, 0.01,
+    ("block f2 n=64 sy=0.2", lambda: SvdOperator(2, 8, 8), 0.2, 0.01,
      0.1, 15000),
 ]
 
@@ -123,12 +123,12 @@ def test_a2_conditional_matches_dense_gaussian():
     n <= 256, and sample_conditional reproduces those moments empirically."""
     start = time.monotonic()
     ops = [
-        block_average_downsample(1, 2, 2),
-        block_average_downsample(1, 16, 16),
-        block_average_downsample(2, 8, 8),
-        block_average_downsample(2, 16, 16),
-        block_average_downsample(4, 8, 8),
-        block_average_downsample(4, 16, 16),
+        SvdOperator(1, 2, 2),
+        SvdOperator(1, 16, 16),
+        SvdOperator(2, 8, 8),
+        SvdOperator(2, 16, 16),
+        SvdOperator(4, 8, 8),
+        SvdOperator(4, 16, 16),
     ]
     for op in ops:
         assert op.n <= 256
@@ -148,7 +148,7 @@ def test_a2_conditional_matches_dense_gaussian():
             assert np.max(np.abs(cov - dense_cov)) < 1e-10
 
     # Monte-Carlo check of the sampler on one configuration
-    op = block_average_downsample(2, 4, 4)
+    op = SvdOperator(2, 4, 4)
     rng = np.random.default_rng(0)
     y = rng.random(op.out_shape)
     model = LikelihoodModel(operator=op, noise_sigma=0.1, measurement=y)
@@ -210,7 +210,7 @@ def test_a3_phantom_beats_bicubic():
     prior = _a3_prior()
     schedule = AnnealSchedule(rho0=0.04, rho_min=0.04)
     sde = SdeConfig(sigma_floor=0.008)
-    op = block_average_downsample(4, 256, 256)
+    op = SvdOperator(4, 256, 256)
     details = []
     for seed in (1, 2, 3):
         clean, speckled = generate_phantom(_a3_spec(seed))
@@ -301,7 +301,7 @@ def test_a6_block_average_svd_exact():
     for f in (2, 4):
         for h in range(f, 17, f):
             for w in range(f, 17, f):
-                op = block_average_downsample(f, h, w)
+                op = SvdOperator(f, h, w)
                 a = dense_matrix(op)
                 s = np.linalg.svd(a, compute_uv=False)
                 assert np.max(np.abs(s - op.singular_value)) < 1e-12

@@ -15,7 +15,7 @@ from pnpdm.analytic import (
     gaussian_posterior_oracle,
 )
 from pnpdm.likelihood import LikelihoodModel
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 from pnpdm.prior_step import SdeConfig, sigma_grid
 from test_acceptance import _a3_prior
 
@@ -382,8 +382,8 @@ def test_gmm_sample_moments():
 
 
 @pytest.mark.parametrize("op", [
-    block_average_downsample(1, 3, 3),
-    block_average_downsample(2, 4, 4),
+    SvdOperator(1, 3, 3),
+    SvdOperator(2, 4, 4),
 ])
 def test_gaussian_posterior_oracle_matches_direct_formula(op):
     rng = np.random.default_rng(7)
@@ -400,7 +400,7 @@ def test_gaussian_posterior_oracle_matches_direct_formula(op):
 
 
 def test_dense_oracle_size_guard():
-    op = block_average_downsample(1, 70, 70)
+    op = SvdOperator(1, 70, 70)
     model = LikelihoodModel(operator=op, noise_sigma=0.1,
                             measurement=np.zeros((70, 70)))
     with pytest.raises(ValueError):

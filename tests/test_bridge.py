@@ -34,7 +34,7 @@ from pnpdm.bridge import (
 )
 from pnpdm.images import MAX_DIM
 from pnpdm.likelihood import LikelihoodModel
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 from pnpdm.prior_step import SdeConfig, prior_refine
 from pnpdm.sgs import AnnealSchedule, RunConfig, initialize, run_chain
 
@@ -468,7 +468,7 @@ def test_bridged_chain_equals_in_process_chain(served):
             denoise = lambda x, sigma: prior.denoise(x, sigma)  # noqa: E731
             script = _GMM_SERVER + "serve(lambda x, sigma: prior.denoise(x, sigma))\n"
         command = _server(script)
-    op = block_average_downsample(2, 16, 12)
+    op = SvdOperator(2, 16, 12)
     model = LikelihoodModel(operator=op, noise_sigma=0.05,
                             measurement=np.random.default_rng(9).random(op.out_shape))
     run = (AnnealSchedule(rho0=1.0, rho_min=0.1), SdeConfig(num_steps=4, sigma_floor=0.01),
@@ -553,6 +553,45 @@ def test_shape_mismatch_raises_shape_error(result, factor, served):
             call(img, 0.5)
         got = call(img, 0.1)
         assert np.array_equal(got[0] if factor else got, img)
+
+
+@pytest.mark.parametrize("factor,served", [
+    (False, "Failing().denoise"),
+    (True, "Failing().denoise"),
+    (True, "fail"),
+], ids=["plain", "exact", "probe"])
+def test_denoiser_exception_raises_remote_error(factor, served, capfd):
+    """An exception from the served function, from its owner's
+    ``denoise_with_tweedie`` or from the probe's calls is answered with an
+    error frame naming its type and message: a remote error that keeps the
+    server, so the next call reaches it.  The server logs the traceback on
+    its stderr.  It fails only at sigma 0.5."""
+    script = (
+        "from pnpdm.bridge import serve\n"
+        "def fail(image, sigma):\n"
+        "    if sigma == 0.5:\n"
+        "        raise RuntimeError('model OOM')\n"
+        "    return image\n"
+        "class Failing:\n"
+        "    def denoise(self, image, sigma):\n"
+        "        return fail(image, sigma)\n"
+        "    def denoise_with_tweedie(self, image, sigma):\n"
+        "        return fail(image, sigma), 0.25\n"
+        f"serve({served})\n"
+    )
+    img = np.random.default_rng(11).random((8, 8))
+    with BridgeDenoiser(BridgeConfig(command=_server(script), timeout=20.0)) as bridge:
+        call = bridge.denoise_with_tweedie if factor else bridge.denoise
+        for sigma in (0.1, 0.5, 0.1):
+            if sigma == 0.5:
+                with pytest.raises(BridgeRemoteError, match="^RuntimeError: model OOM$"):
+                    call(img, sigma)
+            else:
+                got = call(img, sigma)
+                assert np.array_equal(got[0] if factor else got, img)
+        assert bridge._proc.poll() is None
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "RuntimeError: model OOM" in err
 
 
 def test_helper_rejects_non_request_frame():

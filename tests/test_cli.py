@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pnpdm.cli
+import pnpdm.phantom
 from pnpdm.cli import EXIT_BRIDGE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from pnpdm.images import FLOAT_MAGIC, MAX_DIM, read_image, write_image
 from pnpdm.sgs import AnnealSchedule, rho_at
@@ -325,7 +326,7 @@ def test_simulate_too_large_phantom_fails_before_any_image(tmp_path, capsys, mon
     def no_image(spec):
         raise AssertionError("an image was built")
 
-    monkeypatch.setattr(pnpdm.cli, "generate_phantom", no_image)
+    monkeypatch.setattr(pnpdm.phantom, "generate_phantom", no_image)
     cfg = _simulate_config(tmp_path)
     text = cfg.read_text(encoding="utf-8")
     sides = {"height": (MAX_DIM + 4, 4), "width": (4, MAX_DIM + 4)}[name]

@@ -1,7 +1,11 @@
-"""Import hygiene: every name a module imports is used in that module, and
-every name is imported from the module it lives in, never the package root."""
+"""Import hygiene: every name a module imports is used in that module, every
+name is imported from the module it lives in, never the package root, and a
+command's module loads only what that command runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,23 @@ def test_names_are_imported_only_from_their_modules():
             if isinstance(node, ast.ImportFrom) and node.module == "pnpdm" and not node.level:
                 for alias in node.names:
                     assert (PACKAGE / f"{alias.name}.py").is_file(), f"{path}: {alias.name}"
+
+
+@pytest.mark.parametrize("module,unloaded", [
+    ("pnpdm.cli",
+     ["subprocess", "tempfile", "concurrent.futures", "pnpdm.analytic", "pnpdm.phantom"]),
+    ("pnpdm.bridge_helper", ["subprocess", "tempfile", "pnpdm.likelihood"]),
+], ids=["cli", "bridge_helper"])
+def test_command_module_imports_only_what_it_runs(module, unloaded):
+    """A command's module leaves what only other commands use (the bridge
+    client's process control, the priors, the phantom, the thread pool) to
+    the code that runs it.  The fresh interpreter starts without ``site``,
+    whose ``.pth`` files may import anything, on this interpreter's path."""
+    path = [str(PACKAGE.parent), *filter(None, sys.path)]
+    script = f"import sys\nimport {module}\nprint(*sys.modules)\n"
+    result = subprocess.run([sys.executable, "-S", "-c", script],
+                            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert module in loaded and not loaded & set(unloaded), sorted(loaded & set(unloaded))

@@ -10,7 +10,7 @@ from pnpdm.likelihood import (
     data_fidelity,
     sample_conditional,
 )
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 
 
 def _model(op, sigma_y=0.1, seed=0):
@@ -30,9 +30,9 @@ def _dense_moments(model, x, rho):
 
 
 @pytest.mark.parametrize("op", [
-    block_average_downsample(1, 3, 3),
-    block_average_downsample(2, 4, 4),
-    block_average_downsample(4, 8, 8),
+    SvdOperator(1, 3, 3),
+    SvdOperator(2, 4, 4),
+    SvdOperator(4, 8, 8),
 ])
 @pytest.mark.parametrize("rho", [0.05, 0.4, 3.0])
 def test_conditional_moments_match_dense(op, rho):
@@ -48,7 +48,7 @@ def test_conditional_moments_match_dense(op, rho):
 
 
 def test_sample_conditional_monte_carlo_moments():
-    op = block_average_downsample(2, 4, 4)
+    op = SvdOperator(2, 4, 4)
     model = _model(op, sigma_y=0.15, seed=8)
     x = np.random.default_rng(9).random(op.in_shape)
     rho = 0.3
@@ -64,7 +64,7 @@ def test_sample_conditional_monte_carlo_moments():
 
 
 def test_sample_conditional_deterministic_given_seed():
-    op = block_average_downsample(1, 4, 4)
+    op = SvdOperator(1, 4, 4)
     model = _model(op)
     x = np.full(op.in_shape, 0.5)
     a = sample_conditional(model, x, 0.5, np.random.default_rng(7))
@@ -73,7 +73,7 @@ def test_sample_conditional_deterministic_given_seed():
 
 
 def test_data_fidelity_manual():
-    op = block_average_downsample(1, 2, 2)
+    op = SvdOperator(1, 2, 2)
     y = np.array([[0.0, 1.0], [0.5, 0.25]])
     model = LikelihoodModel(operator=op, noise_sigma=0.5, measurement=y)
     x = np.zeros((2, 2))
@@ -84,7 +84,7 @@ def test_data_fidelity_manual():
 def test_spectral_precision_values():
     """The conditional precision has eigenvalue 1/c = s^2/sigma_y^2 + 1/rho^2
     on the m measured directions and 1/rho^2 on the null space."""
-    op = block_average_downsample(2, 4, 4)
+    op = SvdOperator(2, 4, 4)
     model = _model(op, sigma_y=0.2)
     _, c = conditional_moments(model, np.zeros(op.in_shape), 0.5)
     assert abs(1.0 / c - ((0.5**2) / 0.04 + 4.0)) < 1e-12
@@ -95,7 +95,7 @@ def test_spectral_precision_values():
 
 
 def test_validation():
-    op = block_average_downsample(1, 2, 2)
+    op = SvdOperator(1, 2, 2)
     with pytest.raises(ValueError):
         LikelihoodModel(operator=op, noise_sigma=0.0, measurement=np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ def test_validation():
 @pytest.mark.parametrize("rho", [float("nan"), float("inf"), 0.0, -1.0, 1e-200])
 def test_rho_must_be_finite_and_positive(rho):
     """No rho is floored or let through: 1e-200 would make 1/rho^2 infinite."""
-    model = _model(block_average_downsample(2, 4, 4))
+    model = _model(SvdOperator(2, 4, 4))
     x = np.zeros((4, 4))
     with pytest.raises(ValueError, match="rho"):
         sample_conditional(model, x, rho, np.random.default_rng(0))
@@ -118,7 +118,7 @@ def test_rho_must_be_finite_and_positive(rho):
 
 def test_small_rho_is_used_as_given():
     """The draw uses the same rho as the prior step, however small."""
-    op = block_average_downsample(2, 4, 4)
+    op = SvdOperator(2, 4, 4)
     model = _model(op, sigma_y=0.07)
     rho = 1e-9
     c = conditional_moments(model, np.zeros(op.in_shape), rho)[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pnpdm.analytic import dense_matrix
-from pnpdm.operators import SvdOperator, block_average_downsample
+from pnpdm.operators import SvdOperator
 
 
 def _random_image(shape, seed=0):
@@ -12,7 +12,7 @@ def _random_image(shape, seed=0):
 
 
 def test_identity_round_trip():
-    op = block_average_downsample(1, 3, 5)
+    op = SvdOperator(1, 3, 5)
     x = _random_image((3, 5))
     assert op.singular_value == 1.0
     # f = 1 block averaging is the identity, bit-exact on both maps
@@ -23,7 +23,7 @@ def test_identity_round_trip():
 
 @pytest.mark.parametrize("f", [1, 2, 4])
 def test_block_average_matches_manual_mean(f):
-    op = block_average_downsample(f, 4 * f, 2 * f)
+    op = SvdOperator(f, 4 * f, 2 * f)
     x = _random_image((4 * f, 2 * f), seed=f)
     y = op.apply(x)
     for i in range(4):
@@ -33,9 +33,9 @@ def test_block_average_matches_manual_mean(f):
 
 
 @pytest.mark.parametrize("op", [
-    block_average_downsample(1, 4, 4),
-    block_average_downsample(2, 6, 4),
-    block_average_downsample(4, 8, 8),
+    SvdOperator(1, 4, 4),
+    SvdOperator(2, 6, 4),
+    SvdOperator(4, 8, 8),
 ])
 def test_adjoint_identity(op):
     rng = np.random.default_rng(11)
@@ -48,7 +48,7 @@ def test_adjoint_identity(op):
 
 
 def test_add_adjoint_accumulates_in_place():
-    op = block_average_downsample(2, 4, 6)
+    op = SvdOperator(2, 4, 6)
     y = _random_image(op.out_shape, seed=4)
     for x in (_random_image(op.in_shape, seed=3), _random_image((6, 4), seed=3).T):
         expected = x + op.adjoint(y)
@@ -57,8 +57,8 @@ def test_add_adjoint_accumulates_in_place():
 
 
 @pytest.mark.parametrize("op", [
-    block_average_downsample(2, 4, 4),
-    block_average_downsample(4, 8, 8),
+    SvdOperator(2, 4, 4),
+    SvdOperator(4, 8, 8),
 ])
 def test_measured_coefficients_reproduce_forward(op):
     """A x depends only on the measured component P x = A^T A x / s^2."""
@@ -69,7 +69,7 @@ def test_measured_coefficients_reproduce_forward(op):
 
 @pytest.mark.parametrize("f,h,w", [(2, 4, 4), (2, 8, 6), (4, 8, 8)])
 def test_dense_svd_agreement(f, h, w):
-    op = block_average_downsample(f, h, w)
+    op = SvdOperator(f, h, w)
     a = dense_matrix(op)
     s = np.linalg.svd(a, compute_uv=False)
     assert np.allclose(s, op.singular_value, atol=1e-12)
@@ -77,7 +77,7 @@ def test_dense_svd_agreement(f, h, w):
 
 
 def test_pseudo_inverse_is_right_inverse():
-    op = block_average_downsample(4, 8, 8)
+    op = SvdOperator(4, 8, 8)
     y = _random_image(op.out_shape, seed=2)
     x = op.pseudo_inverse(y)
     assert np.allclose(op.apply(x), y, atol=1e-12)
@@ -94,7 +94,7 @@ def test_factor_validation():
 
 
 def test_shape_validation():
-    op = block_average_downsample(2, 4, 4)
+    op = SvdOperator(2, 4, 4)
     with pytest.raises(ValueError):
         op.apply(np.zeros((3, 4)))
     with pytest.raises(ValueError):

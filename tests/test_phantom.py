@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 from pnpdm.phantom import Layer, PhantomSpec, degrade, generate_phantom
 
 
@@ -88,7 +88,7 @@ def test_spec_validation():
 
 def test_degrade_noiseless_is_block_mean():
     clean, speckled = generate_phantom(_two_band_spec())
-    op = block_average_downsample(4, 64, 64)
+    op = SvdOperator(4, 64, 64)
     assert np.array_equal(degrade(speckled, 4, 0.0, seed=9), op.apply(speckled))
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from pnpdm.analytic import GaussianPrior
 from pnpdm.likelihood import LikelihoodModel
-from pnpdm.operators import block_average_downsample
+from pnpdm.operators import SvdOperator
 from pnpdm.prior_step import SdeConfig
 from pnpdm.sgs import (
     AnnealSchedule,
@@ -55,7 +55,7 @@ def test_run_config_validation():
 
 
 def _tiny_model(seed=0):
-    op = block_average_downsample(2, 8, 8)
+    op = SvdOperator(2, 8, 8)
     rng = np.random.default_rng(seed)
     y = rng.random(op.out_shape)
     return LikelihoodModel(operator=op, noise_sigma=0.1, measurement=y)
@@ -127,7 +127,7 @@ def test_run_chain_rejects_wrong_init_shape():
 
 def test_identity_chain_tracks_measurement():
     """Pure denoising with a tight prior should land near the posterior mean."""
-    op = block_average_downsample(1, 6, 6)
+    op = SvdOperator(1, 6, 6)
     truth = np.full((6, 6), 0.7)
     rng = np.random.default_rng(0)
     y = truth + 0.05 * rng.standard_normal((6, 6))
