@@ -289,7 +289,7 @@ def main(argv=None) -> int:
     except BridgeError as exc:
         print(f"bridge error: {exc}", file=sys.stderr)
         return EXIT_BRIDGE
-    except (OSError, ValueError, FloatingPointError) as exc:
+    except (OSError, ValueError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

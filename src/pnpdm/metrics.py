@@ -1,14 +1,16 @@
 """Image quality metrics and the bicubic interpolation baseline.
 
 SSIM (Wang et al. 2004) is computed in bands of ``SSIM_TILE`` output rows.
-For each band the five moment images x, y, x², y², xy of its
-``SSIM_TILE + 10`` input rows are stacked side by side, and the separable
-11x11 Gaussian window is applied as two banded matrix products: one
-``(SSIM_TILE, SSIM_TILE + 10)`` product down the columns, then one over
-column tiles of ``SSIM_TILE`` outputs along the rows.  The SSIM map of the
-band is finished and summed while it is still in cache, so one call keeps a
-few band-sized buffers instead of full-image temporaries, and its cost per
-pixel does not grow with the image.
+Each band stacks four planes x, y, x² + y², xy of its ``SSIM_TILE + 10``
+input rows (the window uses only σx² + σy²), and the separable 11x11
+Gaussian window is two banded matrix products: one down the columns, then
+one of every column tile's ``SSIM_TILE + 10`` inputs with the tap matrix.
+The band's SSIM map is summed while it is still in cache, so a call keeps a
+few band-sized buffers, and its cost per pixel does not grow with the image.
+
+Bicubic upsampling by f is polyphase: output p of every block of f outputs
+sits at the same offset past an input sample, so one set of four Catmull-Rom
+taps (Keys 1981) per phase is applied to shifted slices of the padded input.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pnpdm.images import as_image, check_finite
 
@@ -71,45 +74,36 @@ def ssim(ref, test) -> float:
         raise ValueError(f"images must be at least {SSIM_WINDOW}x{SSIM_WINDOW}")
     t, k = SSIM_TILE, SSIM_WINDOW - 1
     band = _band_matrix()
-    # A column tile's t outputs read its own t columns through band.T[:t] and
-    # the first k columns of the next tile through band.T[t:].
-    own, spill = band.T[:t], band.T[t:]
     height, width = ref.shape
     out_h, out_w = height - k, width - k
-    # Rows are cut into tiles of t columns plus one spare tile, so that every
-    # tile holding an output column has its right neighbour in the same row.
-    padded = (-(-out_w // t) + 1) * t
-    moments = np.zeros((t + k, 5, padded))  # x, y, x², y², xy of one band
-    vert = np.empty((t, 5, padded))
-    win = np.empty((t, 5, padded))
+    tiles = -(-out_w // t)
+    # each row holds whole tiles of t columns plus the k that the last one reads
+    planes = np.zeros((t + k, 4, tiles * t + k))  # x, y, x² + y², xy of one band
+    vert = np.empty((t, 4, tiles * t + k))
+    win = np.empty((t, 4, tiles * t))
     total = 0.0
     for r0 in range(0, out_h, t):
         rows = min(t, out_h - r0)
         x, y = ref[r0 : r0 + rows + k], test[r0 : r0 + rows + k]
-        m = moments[: rows + k, :, :width]
+        m = planes[: rows + k, :, :width]
         m[:, 0] = x
         m[:, 1] = y
         np.multiply(x, x, out=m[:, 2])
-        np.multiply(y, y, out=m[:, 3])
-        np.multiply(x, y, out=m[:, 4])
-        # vertical pass: one product for all five moments of the band
-        np.matmul(band[:rows, : rows + k], moments[: rows + k].reshape(rows + k, -1),
+        m[:, 2] += y * y
+        np.multiply(x, y, out=m[:, 3])
+        # vertical pass: one product for all four planes of the band
+        np.matmul(band[:rows, : rows + k], planes[: rows + k].reshape(rows + k, -1),
                   out=vert[:rows].reshape(rows, -1))
-        # horizontal pass: one product over every column tile, plus the spill
-        # from the next tile; a row's spare tile takes the next row's first
-        # tile as its neighbour, but its outputs are dropped
-        tiles = vert[:rows].reshape(-1, t)
-        out = win[:rows].reshape(-1, t)
-        np.matmul(tiles, own, out=out)
-        out[:-1] += tiles[1:, :k] @ spill
-        mu1, mu2, xx, yy, xy = (win[:rows, i, :out_w] for i in range(5))
+        # horizontal pass: one product of each tile's t + k columns with band.T
+        spans = sliding_window_view(vert[:rows].reshape(4 * rows, -1), t + k, axis=1)[:, ::t]
+        np.matmul(spans, band.T, out=win[:rows].reshape(4 * rows, tiles, t))
+        mu1, mu2, sq, xy = (win[:rows, i, :out_w] for i in range(4))
         mu12 = mu1 * mu2
         mu_sq = mu1 * mu1
         mu_sq += mu2 * mu2
         num = 2.0 * mu12 + SSIM_C1
         num *= 2.0 * (xy - mu12) + SSIM_C2
-        den = xx + yy
-        den -= mu_sq
+        den = sq - mu_sq
         den += SSIM_C2
         mu_sq += SSIM_C1
         den *= mu_sq
@@ -118,17 +112,12 @@ def ssim(ref, test) -> float:
     return total / (out_h * out_w)
 
 
-def _catmull_rom_weights(t: np.ndarray) -> np.ndarray:
-    """Cubic-convolution weights (a = -0.5) for the four samples around t."""
-    w = np.empty((4,) + t.shape)
-    s = 1.0 + t  # distance to sample k-1, in [1, 2)
-    w[0] = -0.5 * (s**3 - 5.0 * s**2 + 8.0 * s - 4.0)
-    w[1] = 1.5 * t**3 - 2.5 * t**2 + 1.0
-    u = 1.0 - t
-    w[2] = 1.5 * u**3 - 2.5 * u**2 + 1.0
-    v = 2.0 - t
-    w[3] = -0.5 * (v**3 - 5.0 * v**2 + 8.0 * v - 4.0)
-    return w
+def _catmull_rom_weights(t: float) -> list[float]:
+    """Cubic-convolution weights (a = -0.5) of the four samples around an
+    offset t in [0, 1) past the second: the far piece, then the near one."""
+    s, u, v = 1.0 + t, 1.0 - t, 2.0 - t
+    return [-0.5 * (s**3 - 5.0 * s**2 + 8.0 * s - 4.0), 1.5 * t**3 - 2.5 * t**2 + 1.0,
+            1.5 * u**3 - 2.5 * u**2 + 1.0, -0.5 * (v**3 - 5.0 * v**2 + 8.0 * v - 4.0)]
 
 
 def _upsample_axis0(arr: np.ndarray, f: int) -> np.ndarray:
@@ -140,14 +129,13 @@ def _upsample_axis0(arr: np.ndarray, f: int) -> np.ndarray:
     lo = arr[0] + (arr[0] - arr[1]) * np.array([2.0, 1.0])[:, None]
     hi = arr[-1] + (arr[-1] - arr[-2]) * np.array([1.0, 2.0])[:, None]
     padded = np.concatenate([lo, arr, hi], axis=0)
-    centers = (np.arange(n * f) + 0.5) / f - 0.5
-    base = np.floor(centers).astype(int)
-    t = centers - base
-    weights = _catmull_rom_weights(t)
-    out = np.zeros((n * f,) + arr.shape[1:])
-    for i in range(4):
-        out += weights[i][:, None] * padded[base + i + 1]
-    return out
+    out = np.empty((n, f) + arr.shape[1:])
+    for p in range(f):
+        offset = (p + 0.5) / f - 0.5  # of output p of block j past input j
+        base = math.floor(offset)  # its taps read inputs j + base - 1 .. j + base + 2
+        taps = _catmull_rom_weights(offset - base)
+        out[:, p] = sum(w * padded[base + 1 + i : base + 1 + i + n] for i, w in enumerate(taps))
+    return out.reshape((n * f,) + arr.shape[1:])
 
 
 def bicubic_upsample(lr, f: int) -> np.ndarray:

@@ -319,6 +319,19 @@ def test_reconstruct_too_large_fails_before_any_chain(tmp_path, capsys, monkeypa
     assert not (tmp_path / "rec.pnpi").exists()
 
 
+def test_reconstruct_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    """A chain that cannot allocate its samples exits 2 with a one-line error,
+    not 1 with a traceback."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 800. MiB")
+
+    monkeypatch.setattr(pnpdm.cli, "run_chain", no_memory)
+    cfg = _reconstruct_config(tmp_path, "kind = gaussian", log=False)
+    assert main(["reconstruct", str(cfg)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Unable to allocate 800. MiB" in err
+
+
 @pytest.mark.parametrize("name", ["height", "width"])
 def test_simulate_too_large_phantom_fails_before_any_image(tmp_path, capsys, monkeypatch, name):
     """A phantom side write_image would refuse is a config error: no image is

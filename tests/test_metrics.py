@@ -181,6 +181,39 @@ def test_bicubic_separable_transpose_symmetry():
     assert np.allclose(bicubic_upsample(lr, 3), bicubic_upsample(lr.T, 3).T, atol=1e-12)
 
 
+def _keys(s, a=-0.5):
+    """Keys' cubic-convolution kernel at distance s."""
+    s = abs(s)
+    if s <= 1:
+        return (a + 2) * s**3 - (a + 3) * s**2 + 1
+    if s < 2:
+        return a * s**3 - 5 * a * s**2 + 8 * a * s - 4 * a
+    return 0.0
+
+
+def _catmull_rom_matrix(n, f):
+    """Dense (n·f, n) interpolation matrix: output i at (i + 0.5)/f - 0.5,
+    weighted over samples -2..n+1, the outer two on each side linearly
+    extrapolated from the two nearest samples."""
+    ext = np.zeros((n + 4, n))  # extended sample q + 2 as a combination of samples
+    ext[2:n + 2] = np.eye(n)
+    for k in (1, 2):
+        ext[2 - k, 0], ext[2 - k, 1] = 1 + k, -k
+        ext[n + 1 + k, n - 1], ext[n + 1 + k, n - 2] = 1 + k, -k
+    kernel = np.array([[_keys((i + 0.5) / f - 0.5 - q) for q in range(-2, n + 2)]
+                       for i in range(n * f)])
+    return kernel @ ext
+
+
+@pytest.mark.parametrize("f", [2, 3, 4])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 7), (7, 2), (7, 7)], ids="{0[0]}x{0[1]}".format)
+def test_bicubic_matches_dense_catmull_rom(shape, f):
+    """Interior and border taps against a dense matrix built from the kernel."""
+    lr = np.random.default_rng(shape[0] * 10 + shape[1] + f).random(shape)
+    expected = _catmull_rom_matrix(shape[0], f) @ lr @ _catmull_rom_matrix(shape[1], f).T
+    assert np.max(np.abs(bicubic_upsample(lr, f) - expected)) < 1e-12
+
+
 def test_bicubic_validation():
     with pytest.raises(ValueError):
         bicubic_upsample(np.zeros((4, 4)), 0)
